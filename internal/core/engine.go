@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -1103,22 +1104,35 @@ func (e *Engine) applyPlan(gi int, plan *cfg.StepPlan, edge cfg.Edge) bool {
 }
 
 // rankedEdges orders a cluster node's uncovered out-edges by descending
-// unlock count, ties broken by ascending Hamming distance (§4.7).
+// unlock count, ties broken by ascending Hamming distance (§4.7). Each
+// candidate's keys are computed once, before the sort.
 func (e *Engine) rankedEdges(gi, node int) []cfg.Edge {
 	g := e.part.Graphs[gi]
 	uncovered := e.uncoveredFrom(gi, node, true)
 	cur := g.Nodes[node]
-	sort.SliceStable(uncovered, func(i, j int) bool {
-		ui := len(e.uncoveredFrom(gi, uncovered[i].To, false))
-		uj := len(e.uncoveredFrom(gi, uncovered[j].To, false))
-		if ui != uj {
-			return ui > uj
+	type ranked struct {
+		edge             cfg.Edge
+		unlocks, hamming int
+	}
+	rs := make([]ranked, len(uncovered))
+	for i, edge := range uncovered {
+		rs[i] = ranked{edge, len(e.uncoveredFrom(gi, edge.To, false)), hamming(cur, g.Nodes[edge.To])}
+	}
+	sort.SliceStable(rs, func(i, j int) bool {
+		if rs[i].unlocks != rs[j].unlocks {
+			return rs[i].unlocks > rs[j].unlocks
 		}
-		return hamming(cur, g.Nodes[uncovered[i].To]) < hamming(cur, g.Nodes[uncovered[j].To])
+		return rs[i].hamming < rs[j].hamming
 	})
+	for i, r := range rs {
+		uncovered[i] = r.edge
+	}
 	return uncovered
 }
 
+// hamming counts the control-register bits known 1 in the XOR of two
+// nodes' valuations (bits where both are known and differ), over the
+// registers both nodes value.
 func hamming(a, b *cfg.Node) int {
 	d := 0
 	for idx, av := range a.Vals {
@@ -1126,11 +1140,10 @@ func hamming(a, b *cfg.Node) int {
 		if !ok {
 			continue
 		}
-		x := av.Xor(bv)
-		for i := 0; i < x.Width(); i++ {
-			if x.Bit(i) == logic.L1 {
-				d++
-			}
+		aa, ab := av.Words()
+		ba, bb := bv.Words()
+		for i := range aa {
+			d += bits.OnesCount64((aa[i] ^ ba[i]) &^ (ab[i] | bb[i]))
 		}
 	}
 	return d

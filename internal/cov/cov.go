@@ -13,6 +13,8 @@
 package cov
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/cfg"
@@ -45,6 +47,15 @@ func (f tracerFunc) Branch(id, arm int) { f(id, arm) }
 
 // CFGCov tracks node, edge and interaction-tuple coverage against the
 // clustered static CFG of a design.
+//
+// The per-cycle path allocates nothing once a state has been seen:
+// each cluster's control-register valuation is packed from the DUV's
+// word planes (sim.DUV.Words) into a scratch buffer and looked up in a
+// per-cluster intern table. The rendered string key, its static node
+// and its DynNodes entry are computed only on a valuation's first
+// sighting; edges, DynEdges and interaction tuples are guarded the
+// same way by packed-key sets. The public maps keep their string and
+// int keys, so wire formats, merges and reports do not see the tables.
 type CFGCov struct {
 	P *cfg.Partition
 	// NodesSeen / EdgesSeen are static hits, per cluster graph.
@@ -53,7 +64,8 @@ type CFGCov struct {
 	// DynNodes / DynEdges are valuations and transitions observed at
 	// run time but absent from the (possibly truncated) static graphs;
 	// tracked for diagnostics but excluded from Points so the metric
-	// stays bounded on large designs.
+	// stays bounded on large designs. Each holds at most maxTable
+	// entries; later observations are counted in Overflow instead.
 	DynNodes map[string]bool
 	DynEdges map[string]bool
 	// Tuples are the control-register interaction tuples of §4.6: each
@@ -69,15 +81,55 @@ type CFGCov struct {
 	// nonzero count means the tuple metric undercounts. The engine
 	// reports it as the cov_events_dropped metric.
 	Dropped uint64
+	// Overflow counts observations that found a bounded table full
+	// (maxTable entries): a valuation or tuple the intern tables could
+	// not cache, which is then handled on the slower string path with
+	// exact coverage, or a DynNodes/DynEdges diagnostic that was not
+	// recorded. Points never depends on it.
+	Overflow uint64
 
 	// branchRegs[id] lists the control registers branch id reads.
 	branchRegs [][]int
 
 	prevKey  []string
+	prevID   []int32 // intern ID of prevKey, -1 when uncached
 	prevNode []int
 	events   [][2]int
 	hasPrev  bool
+
+	// Intern and guard tables, built on the first Sample or
+	// SyncPosition so that constructing a monitor stays cheap.
+	tabs      []internTab
+	edgeGuard map[dynEdge]struct{}
+	tupleSeen map[string]struct{}
+	lastTuple [][]byte // per branch: the packed tuple it last recorded
+	buf       []byte   // packing scratch
 }
+
+// maxTable bounds every map the monitor grows with campaign length
+// apart from the coverage sets themselves: DynNodes, DynEdges, each
+// cluster's intern table and the edge and tuple guards. It is a
+// variable only so tests can exercise the overflow paths.
+var maxTable = 1 << 16
+
+// internTab interns one cluster's packed control-register valuations.
+type internTab struct {
+	regs     []int            // the cluster's control-register signals
+	ids      map[string]int32 // packed valuation -> index into entries
+	entries  []internEntry
+	selfEdge []int // per static node: its self-loop edge ID, or -1
+}
+
+// internEntry is everything the string path computes for a valuation.
+type internEntry struct {
+	node   int    // static node ID, -1 off-graph
+	key    string // nodeKeyOf rendering
+	packed string // the entry's intern-table key
+	noted  bool   // DynNodes insert done (off-graph entries only)
+}
+
+// dynEdge identifies an off-graph transition by intern IDs.
+type dynEdge struct{ gi, from, to int32 }
 
 // NewCFGCov builds the SymbFuzz coverage monitor over a clustered CFG.
 func NewCFGCov(p *cfg.Partition) *CFGCov {
@@ -90,12 +142,14 @@ func NewCFGCov(p *cfg.Partition) *CFGCov {
 		Tuples:     map[string]bool{},
 		branchRegs: make([][]int, p.Design.Branches),
 		prevKey:    make([]string, len(p.Graphs)),
+		prevID:     make([]int32, len(p.Graphs)),
 		prevNode:   make([]int, len(p.Graphs)),
 	}
 	for i := range p.Graphs {
 		c.NodesSeen[i] = map[int]bool{}
 		c.EdgesSeen[i] = map[int]bool{}
 		c.prevNode[i] = -1
+		c.prevID[i] = -1
 	}
 	ctrl := map[int]bool{}
 	for _, g := range p.Graphs {
@@ -159,47 +213,208 @@ func nodeKeyOf(g *cfg.Graph, s sim.DUV) string {
 	return key
 }
 
+// tupleKeyOf renders an interaction tuple: the branch arm and the
+// valuations of the control registers the branch reads.
+func tupleKeyOf(id, arm int, regs []int, s sim.DUV) string {
+	tuple := fmt.Sprintf("b%d.%d", id, arm)
+	for _, ridx := range regs {
+		tuple += "|" + s.Get(ridx).BitString()
+	}
+	return tuple
+}
+
+// appendWords appends the word planes of each signal to buf. Widths
+// are fixed per signal, so for a fixed signal list the bytes identify
+// the four-state valuation exactly, as the rendered key does.
+func appendWords(buf []byte, s sim.DUV, sigs []int) []byte {
+	for _, sig := range sigs {
+		a, b := s.Words(sig)
+		for _, w := range a {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
+		for _, w := range b {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
+	}
+	return buf
+}
+
+// initTables builds the intern and guard tables on first use.
+func (c *CFGCov) initTables() {
+	if c.tabs != nil {
+		return
+	}
+	c.tabs = make([]internTab, len(c.P.Graphs))
+	for gi, g := range c.P.Graphs {
+		t := &c.tabs[gi]
+		t.ids = map[string]int32{}
+		for _, cr := range g.Regs {
+			t.regs = append(t.regs, cr.Sig.Index)
+		}
+		t.selfEdge = make([]int, len(g.Nodes))
+		for i := range t.selfEdge {
+			t.selfEdge[i] = -1
+		}
+		for _, e := range g.Edges {
+			if e.From == e.To && t.selfEdge[e.From] < 0 {
+				t.selfEdge[e.From] = e.ID
+			}
+		}
+	}
+	c.edgeGuard = map[dynEdge]struct{}{}
+	c.tupleSeen = map[string]struct{}{}
+	c.lastTuple = make([][]byte, len(c.branchRegs))
+}
+
+// lookup maps cluster gi's current valuation to its intern ID, static
+// node and rendered key. A valuation is rendered only on its first
+// sighting; with the intern table full it is rendered every time and
+// returned with ID -1.
+func (c *CFGCov) lookup(gi int, s sim.DUV) (id int32, node int, key string) {
+	t := &c.tabs[gi]
+	c.buf = appendWords(c.buf[:0], s, t.regs)
+	// Most clusters hold their valuation from one cycle to the next, so
+	// the previous entry is tried before the table.
+	id = c.prevID[gi]
+	ok := id >= 0 && t.entries[id].packed == string(c.buf)
+	if !ok {
+		id, ok = t.ids[string(c.buf)]
+	}
+	if ok {
+		e := &t.entries[id]
+		return id, e.node, e.key
+	}
+	g := c.P.Graphs[gi]
+	key = nodeKeyOf(g, s)
+	node = -1
+	if nid, ok := g.ByKey[canonKey(key)]; ok {
+		node = nid
+	}
+	if len(t.entries) >= maxTable {
+		c.Overflow++
+		return -1, node, key
+	}
+	id = int32(len(t.entries))
+	packed := string(c.buf)
+	t.entries = append(t.entries, internEntry{node: node, key: key, packed: packed})
+	t.ids[packed] = id
+	return id, node, key
+}
+
+// noteDynNode records an off-graph valuation, once per interned entry.
+func (c *CFGCov) noteDynNode(gi int, id int32, key string) {
+	if id >= 0 {
+		e := &c.tabs[gi].entries[id]
+		if e.noted {
+			return
+		}
+		e.noted = true
+	}
+	addBounded(c.DynNodes, fmt.Sprintf("g%d:%s", gi, key), &c.Overflow)
+}
+
+// noteDynEdge records an off-graph transition from the cluster's
+// previous valuation to the current one, once per interned pair.
+func (c *CFGCov) noteDynEdge(gi int, id int32, key string) {
+	from := c.prevID[gi]
+	if from >= 0 && id >= 0 {
+		if from == id {
+			return
+		}
+		k := dynEdge{int32(gi), from, id}
+		if _, ok := c.edgeGuard[k]; ok {
+			return
+		}
+		if len(c.edgeGuard) < maxTable {
+			c.edgeGuard[k] = struct{}{}
+		} else {
+			c.Overflow++
+		}
+	} else if key == c.prevKey[gi] {
+		return
+	}
+	addBounded(c.DynEdges, fmt.Sprintf("g%d:%s>%s", gi, c.prevKey[gi], key), &c.Overflow)
+}
+
+// addBounded inserts k into a diagnostic set holding fewer than
+// maxTable entries, counting the insert in overflow otherwise.
+func addBounded(m map[string]bool, k string, overflow *uint64) {
+	if m[k] {
+		return
+	}
+	if len(m) >= maxTable {
+		*overflow++
+		return
+	}
+	m[k] = true
+}
+
 // Sample implements Monitor: map the cycle onto every cluster graph
 // (Alg. 1 l.9) and record the interaction tuples.
 func (c *CFGCov) Sample(s sim.DUV) {
+	c.initTables()
 	for gi, g := range c.P.Graphs {
-		key := nodeKeyOf(g, s)
-		nid := -1
-		if id, ok := g.ByKey[canonKey(key)]; ok {
-			nid = id
-			c.NodesSeen[gi][id] = true
+		id, nid, key := c.lookup(gi, s)
+		if nid >= 0 {
+			if seen := c.NodesSeen[gi]; !seen[nid] {
+				seen[nid] = true
+			}
 		} else {
-			c.DynNodes[fmt.Sprintf("g%d:%s", gi, key)] = true
+			c.noteDynNode(gi, id, key)
 		}
 		if c.hasPrev {
-			covered := false
-			if c.prevNode[gi] >= 0 && nid >= 0 {
-				for _, eid := range g.Nodes[c.prevNode[gi]].Out {
-					if g.Edges[eid].To == nid {
-						c.EdgesSeen[gi][eid] = true
-						covered = true
-						break
+			eid := -1
+			if pn := c.prevNode[gi]; pn >= 0 && nid >= 0 {
+				if pn == nid {
+					eid = c.tabs[gi].selfEdge[nid]
+				} else {
+					for _, out := range g.Nodes[pn].Out {
+						if g.Edges[out].To == nid {
+							eid = out
+							break
+						}
 					}
 				}
 			}
-			if !covered && key != c.prevKey[gi] {
-				c.DynEdges[fmt.Sprintf("g%d:%s>%s", gi, c.prevKey[gi], key)] = true
+			if eid >= 0 {
+				if seen := c.EdgesSeen[gi]; !seen[eid] {
+					seen[eid] = true
+				}
+			} else {
+				c.noteDynEdge(gi, id, key)
 			}
 		}
 		c.prevKey[gi] = key
+		c.prevID[gi] = id
 		c.prevNode[gi] = nid
 	}
 	// Interaction tuples: each branch arm exercised this cycle paired
 	// with the valuations of the control registers the branch reads.
 	for _, ev := range c.events {
 		id, arm := ev[0], ev[1]
-		tuple := fmt.Sprintf("b%d.%d", id, arm)
+		var regs []int
+		var last *[]byte
 		if id < len(c.branchRegs) {
-			for _, ridx := range c.branchRegs[id] {
-				tuple += "|" + s.Get(ridx).BitString()
+			regs, last = c.branchRegs[id], &c.lastTuple[id]
+		}
+		buf := binary.LittleEndian.AppendUint64(c.buf[:0], uint64(id))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(arm))
+		c.buf = appendWords(buf, s, regs)
+		// A branch usually repeats its last tuple, so check that first.
+		if last != nil && bytes.Equal(*last, c.buf) {
+			continue
+		}
+		if _, ok := c.tupleSeen[string(c.buf)]; !ok {
+			c.Tuples[tupleKeyOf(id, arm, regs, s)] = true
+			if len(c.tupleSeen) < maxTable {
+				c.tupleSeen[string(c.buf)] = struct{}{}
+			} else {
+				c.Overflow++
 			}
 		}
-		c.Tuples[tuple] = true
+		if last != nil {
+			*last = append((*last)[:0], c.buf...)
+		}
 	}
 	c.drainEvents()
 	c.hasPrev = true
@@ -309,6 +524,7 @@ func (c *CFGCov) ResetPosition() {
 	c.hasPrev = false
 	for i := range c.prevNode {
 		c.prevNode[i] = -1
+		c.prevID[i] = -1
 		c.prevKey[i] = ""
 	}
 	c.drainEvents()
@@ -319,13 +535,9 @@ func (c *CFGCov) ResetPosition() {
 // of the restored state is credited as an edge without recording the
 // rollback jump itself.
 func (c *CFGCov) SyncPosition(s sim.DUV) {
-	for gi, g := range c.P.Graphs {
-		key := nodeKeyOf(g, s)
-		c.prevKey[gi] = key
-		c.prevNode[gi] = -1
-		if id, ok := g.ByKey[canonKey(key)]; ok {
-			c.prevNode[gi] = id
-		}
+	c.initTables()
+	for gi := range c.P.Graphs {
+		c.prevID[gi], c.prevNode[gi], c.prevKey[gi] = c.lookup(gi, s)
 	}
 	c.hasPrev = true
 	c.drainEvents()

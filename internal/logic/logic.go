@@ -782,8 +782,9 @@ func FromWords(width int, a, b []uint64) BV {
 // Words exposes the vector's aval/bval word planes, LSB-word first.
 // The returned slices alias the vector's backing store and MUST NOT be
 // modified — BV values are shared structurally on the assumption of
-// immutability. Intended for bulk state transfer (snapshot packing);
-// use FromWords to go the other way.
+// immutability. Intended for bulk state transfer (snapshot packing) and
+// allocation-free reads (sim.DUV.Words); use FromWords to go the other
+// way.
 func (v BV) Words() (a, b []uint64) { return v.a, v.b }
 
 // Rand returns a fully defined random vector using the given source.

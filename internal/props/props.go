@@ -9,6 +9,7 @@ package props
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/logic"
 	"repro/internal/sim"
@@ -332,12 +333,20 @@ type Violation struct {
 
 // Checker samples signals each cycle and evaluates properties. It keeps
 // per-signal history rings deep enough for every $past reference.
+//
+// History is stored as word copies of each signal's planes, read with
+// sim.DUV.Words into preallocated rings, so pushing a cycle's values
+// allocates nothing however many signals are tracked; PastVal builds a
+// logic.BV only when a $past or $stable reads one. Signal names are
+// resolved to indices once per Bind.
 type Checker struct {
 	props      []*Property
-	depth      map[string]int        // history depth needed per signal
-	history    map[string][]logic.BV // ring buffers
+	hist       []history      // one ring per history-tracked signal
+	histIdx    map[string]int // signal name -> index into hist
+	histLen    int            // ring length: the deepest need of any signal
 	histPos    int
 	histFilled int
+	resolved   bool // hist matches sim and histLen
 	sim        sim.DUV
 	violations []Violation
 	// FirstOnly reports each property at most once.
@@ -345,11 +354,20 @@ type Checker struct {
 	seen      map[string]bool
 }
 
+// history is one signal's ring: histLen slots of nw words per plane.
+type history struct {
+	name  string
+	sig   int // -1: unknown signal, which always reads as X
+	width int
+	nw    int
+	a, b  []uint64
+}
+
 // NewChecker builds a checker over the given properties.
 func NewChecker(properties ...*Property) *Checker {
 	c := &Checker{
-		depth:     map[string]int{},
-		history:   map[string][]logic.BV{},
+		histIdx:   map[string]int{},
+		histLen:   2,
 		FirstOnly: true,
 		seen:      map[string]bool{},
 	}
@@ -367,22 +385,27 @@ func (c *Checker) AddProperty(p *Property) {
 	if p.DisableIff != nil {
 		p.DisableIff.Signals(set)
 	}
+	var added []string
 	for name, d := range set {
 		need := d + 1
 		if need < 2 {
 			need = 2
 		}
-		if need > c.depth[name] {
-			c.depth[name] = need
+		// All rings share the deepest need so a single write cursor
+		// works.
+		if need > c.histLen {
+			c.histLen = need
+		}
+		if _, ok := c.histIdx[name]; !ok {
+			added = append(added, name)
 		}
 	}
-	// All rings share the global depth so a single write cursor works.
-	L := c.maxDepth()
-	for name := range c.depth {
-		if len(c.history[name]) != L {
-			c.history[name] = make([]logic.BV, L)
-		}
+	sort.Strings(added)
+	for _, name := range added {
+		c.histIdx[name] = len(c.hist)
+		c.hist = append(c.hist, history{name: name})
 	}
+	c.resolved = false
 	c.histPos = -1
 	c.histFilled = 0
 }
@@ -391,12 +414,36 @@ func (c *Checker) AddProperty(p *Property) {
 // cycle.
 func (c *Checker) Bind(s sim.DUV) {
 	c.sim = s
+	c.resolved = false
 	s.OnCycle(func(sim.DUV) { c.Sample() })
+}
+
+// resolve looks up every tracked signal in the bound DUV and sizes its
+// ring to the current depth.
+func (c *Checker) resolve() {
+	for i := range c.hist {
+		h := &c.hist[i]
+		h.sig = c.sim.SignalIndex(h.name)
+		h.width, h.nw = 0, 0
+		if h.sig >= 0 {
+			h.width = c.sim.Design().Signals[h.sig].Width
+			h.nw = (h.width + 63) / 64
+		}
+		if n := c.histLen * h.nw; len(h.a) != n {
+			h.a, h.b = make([]uint64, n), make([]uint64, n)
+		}
+	}
+	c.resolved = true
 }
 
 // Val implements Ctx.
 func (c *Checker) Val(name string) logic.BV {
-	idx := c.sim.SignalIndex(name)
+	var idx int
+	if i, ok := c.histIdx[name]; ok && c.resolved {
+		idx = c.hist[i].sig
+	} else {
+		idx = c.sim.SignalIndex(name)
+	}
 	if idx < 0 {
 		return logic.X(1)
 	}
@@ -406,16 +453,17 @@ func (c *Checker) Val(name string) logic.BV {
 // PastVal implements Ctx. PastVal(name, 1) is the value at the previous
 // cycle's sample point.
 func (c *Checker) PastVal(name string, n int) logic.BV {
-	ring := c.history[name]
-	if ring == nil || n > len(ring) || n > c.histFilled {
+	i, ok := c.histIdx[name]
+	if !ok || !c.resolved || n > c.histLen || n > c.histFilled {
 		return logic.X(1)
 	}
-	pos := ((c.histPos-(n-1))%len(ring) + len(ring)) % len(ring)
-	v := ring[pos]
-	if !v.Valid() {
+	h := &c.hist[i]
+	if h.sig < 0 {
 		return logic.X(1)
 	}
-	return v
+	L := c.histLen
+	off := (((c.histPos-(n-1))%L + L) % L) * h.nw
+	return logic.FromWords(h.width, h.a[off:off+h.nw], h.b[off:off+h.nw])
 }
 
 // Cycle implements Ctx.
@@ -429,6 +477,9 @@ func (c *Checker) Cycle() uint64 {
 // Sample evaluates every property against the current state, then
 // pushes current values into the history rings.
 func (c *Checker) Sample() {
+	if !c.resolved {
+		c.resolve()
+	}
 	for _, p := range c.props {
 		if c.FirstOnly && c.seen[p.Name] {
 			continue
@@ -447,24 +498,21 @@ func (c *Checker) Sample() {
 		}
 	}
 	// Push current values into the rings.
-	L := c.maxDepth()
+	L := c.histLen
 	c.histPos = (c.histPos + 1 + L) % L
-	for name, ring := range c.history {
-		ring[c.histPos] = c.Val(name)
+	for i := range c.hist {
+		h := &c.hist[i]
+		if h.sig < 0 {
+			continue
+		}
+		a, b := c.sim.Words(h.sig)
+		off := c.histPos * h.nw
+		copy(h.a[off:off+h.nw], a)
+		copy(h.b[off:off+h.nw], b)
 	}
 	if c.histFilled < L {
 		c.histFilled++
 	}
-}
-
-func (c *Checker) maxDepth() int {
-	m := 2
-	for _, d := range c.depth {
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }
 
 // Violations returns the recorded violations.

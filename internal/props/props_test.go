@@ -1,12 +1,14 @@
 package props
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/elab"
 	"repro/internal/hdl"
 	"repro/internal/logic"
 	"repro/internal/sim"
+	"repro/internal/simc"
 )
 
 func newSim(t *testing.T, src, top string) *sim.Simulator {
@@ -236,5 +238,97 @@ func TestUnknownSignalNameIsX(t *testing.T) {
 	_ = s.ApplyReset(info, 2)
 	if len(chk.Violations()) != 0 {
 		t.Error("unknown signal comparisons are X and must not fire")
+	}
+}
+
+const regsSrc = `
+module regs (input clk_i, input [7:0] d,
+             output reg [7:0] r0, output reg [7:0] r1, output reg [7:0] r2, output reg [7:0] r3,
+             output reg [7:0] r4, output reg [7:0] r5, output reg [7:0] r6, output reg [99:0] r7);
+  always_ff @(posedge clk_i) begin
+    r0 <= d; r1 <= r0; r2 <= r1; r3 <= r2;
+    r4 <= r3; r5 <= r4; r6 <= r5; r7 <= {r7[91:0], r6};
+  end
+endmodule`
+
+// newCompiled builds regsSrc on the compiled backend, whose Get
+// allocates, so history pushed through Get would show in allocations.
+func newCompiled(t *testing.T) (*simc.Machine, int) {
+	t.Helper()
+	ast, err := hdl.Parse(regsSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := elab.Elaborate(ast, "regs", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := simc.New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, sim.DetectClockReset(d).Clock
+}
+
+// TestCheckerSampleAllocsFlatInSignals pins the word-ring history:
+// once every property has fired (FirstOnly skips evaluation), Sample
+// only pushes history, and its allocation count must not grow with the
+// number of history-tracked signals.
+func TestCheckerSampleAllocsFlatInSignals(t *testing.T) {
+	allocs := func(k int) float64 {
+		m, _ := newCompiled(t)
+		chk := NewChecker()
+		for i := 0; i < k; i++ {
+			name := fmt.Sprintf("r%d", i)
+			chk.AddProperty(&Property{Name: name, Expr: And(B(false), Past(name, 3))})
+		}
+		chk.Bind(m)
+		chk.Sample()
+		if len(chk.Violations()) != k {
+			t.Fatalf("k=%d: %d violations, want every property fired", k, len(chk.Violations()))
+		}
+		return testing.AllocsPerRun(100, chk.Sample)
+	}
+	one, eight := allocs(1), allocs(8)
+	if eight > one {
+		t.Fatalf("Sample allocations grow with tracked signals: %v with 1, %v with 8", one, eight)
+	}
+}
+
+// TestPastValMatchesRecordedValues checks the word rings against the
+// values Get returned on earlier cycles, on both backends, for narrow
+// and multi-word signals and through a history reset.
+func TestPastValMatchesRecordedValues(t *testing.T) {
+	m, clk := newCompiled(t)
+	backends := map[string]sim.DUV{"compiled": m, "interp": newSim(t, regsSrc, "regs")}
+	for name, s := range backends {
+		chk := NewChecker(&Property{Name: "deep", Expr: Eq(Past("r7", 4), Past("r1", 2))})
+		chk.Bind(s)
+		r1, r7 := s.SignalIndex("r1"), s.SignalIndex("r7")
+		var got1, got7 []logic.BV
+		for c := uint64(0); c < 12; c++ {
+			if c == 6 {
+				chk.ResetHistory()
+				got1, got7 = nil, nil
+			}
+			s.Set(s.SignalIndex("d"), logic.FromUint64(8, 0x3c+c))
+			if err := s.Tick(clk); err != nil {
+				t.Fatal(err)
+			}
+			got1 = append(got1, s.Get(r1))
+			got7 = append(got7, s.Get(r7))
+			for n := 1; n <= 6; n++ {
+				want1, want7 := logic.X(1), logic.X(1)
+				if n <= 5 && n <= len(got1) { // rings are 5 deep for $past(r7,4)
+					want1, want7 = got1[len(got1)-n], got7[len(got7)-n]
+				}
+				if v := chk.PastVal("r1", n); !v.Eq4(want1) {
+					t.Fatalf("%s cycle %d: $past(r1,%d) = %s, want %s", name, c, n, v, want1)
+				}
+				if v := chk.PastVal("r7", n); !v.Eq4(want7) {
+					t.Fatalf("%s cycle %d: $past(r7,%d) = %s, want %s", name, c, n, v, want7)
+				}
+			}
+		}
 	}
 }

@@ -17,6 +17,13 @@ type DUV interface {
 	Design() *elab.Design
 	// Get returns the current value of a signal by index.
 	Get(sig int) logic.BV
+	// Words returns a signal's current aval/bval word planes, LSB-word
+	// first: exactly ceil(width/64) words each, bits above the width
+	// zero. The slices alias the backend's state and are read-only;
+	// they stay valid until the next Set, Settle, Tick or Restore.
+	// Per-cycle observers (coverage, property history) read through it
+	// instead of Get so that a read allocates nothing.
+	Words(sig int) (a, b []uint64)
 	// GetMem returns a memory word (X for out-of-range).
 	GetMem(mem int, addr uint64) logic.BV
 	// Set performs a blocking input write, scheduling dependents.
@@ -52,6 +59,14 @@ type DUV interface {
 	ProfileCounts() (evals []uint64, sampledNS []int64, sampled []uint64)
 }
 
+// high and low are the 1-bit clock and reset levels. BV values are
+// immutable, so one shared pair serves every Tick and reset sequence
+// instead of a fresh pair per cycle.
+var (
+	high = logic.Ones(1)
+	low  = logic.Zero(1)
+)
+
 // RunReset drives the standard reset sequence on any backend: assert
 // the detected reset, start the clock from a defined low level, run the
 // given number of cycles, deassert. Both backends route their
@@ -59,9 +74,9 @@ type DUV interface {
 // diverge between them.
 func RunReset(s DUV, info ResetInfo, cycles int) error {
 	if info.Reset >= 0 {
-		v := logic.Zero(1)
+		v := low
 		if !info.ActiveLow {
-			v = logic.Ones(1)
+			v = high
 		}
 		s.Set(info.Reset, v)
 		if err := s.Settle(); err != nil {
@@ -70,7 +85,7 @@ func RunReset(s DUV, info ResetInfo, cycles int) error {
 	}
 	if info.Clock >= 0 {
 		// Start the clock from a defined low level.
-		s.Set(info.Clock, logic.Zero(1))
+		s.Set(info.Clock, low)
 		if err := s.Settle(); err != nil {
 			return err
 		}
@@ -81,9 +96,9 @@ func RunReset(s DUV, info ResetInfo, cycles int) error {
 		}
 	}
 	if info.Reset >= 0 {
-		v := logic.Ones(1)
+		v := high
 		if !info.ActiveLow {
-			v = logic.Zero(1)
+			v = low
 		}
 		s.Set(info.Reset, v)
 		if err := s.Settle(); err != nil {

@@ -200,6 +200,9 @@ func (s *Simulator) OnCycle(fn CycleListener) { s.onCycle = append(s.onCycle, fn
 // Get returns the current value of a signal.
 func (s *Simulator) Get(sig int) logic.BV { return s.vals[sig] }
 
+// Words returns the stored value's word planes (see DUV.Words).
+func (s *Simulator) Words(sig int) (a, b []uint64) { return s.vals[sig].Words() }
+
 // GetMem returns a memory word (X for out-of-range).
 func (s *Simulator) GetMem(mem int, addr uint64) logic.BV {
 	words := s.mems[mem]
@@ -381,11 +384,11 @@ func (s *Simulator) AdvanceCycle() {
 // Tick drives one full clock cycle on the given clock signal index:
 // rising edge, settle, falling edge, settle, then fires cycle listeners.
 func (s *Simulator) Tick(clk int) error {
-	s.apply(clk, logic.Ones(1))
+	s.apply(clk, high)
 	if err := s.Settle(); err != nil {
 		return err
 	}
-	s.apply(clk, logic.Zero(1))
+	s.apply(clk, low)
 	if err := s.Settle(); err != nil {
 		return err
 	}

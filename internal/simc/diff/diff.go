@@ -144,6 +144,9 @@ func compareState(si *sim.Simulator, mc *simc.Machine, where string) error {
 		if !vi.Eq4(vc) {
 			return fmt.Errorf("%s: signal %s (%d): interp=%s compiled=%s", where, sig.Name, i, vi, vc)
 		}
+		if err := compareWords(si, mc, i, sig.Width); err != nil {
+			return fmt.Errorf("%s: signal %s (%d): %w", where, sig.Name, i, err)
+		}
 	}
 	for mi, mem := range d.Memories {
 		for a := uint64(0); a < uint64(mem.Depth); a++ {
@@ -163,6 +166,36 @@ func compareState(si *sim.Simulator, mc *simc.Machine, where string) error {
 	for i := range snapI.Vals {
 		if !snapI.Vals[i].Eq4(snapC.Vals[i]) {
 			return fmt.Errorf("%s: snapshot val %d: interp=%s compiled=%s", where, i, snapI.Vals[i], snapC.Vals[i])
+		}
+	}
+	return nil
+}
+
+// compareWords checks the packed-read contract of sim.DUV.Words that
+// coverage keys rely on: both backends return ceil(width/64) words per
+// plane, with identical contents and zero bits above the width.
+func compareWords(si *sim.Simulator, mc *simc.Machine, sig, width int) error {
+	nw := (width + 63) / 64
+	var top uint64 // bits of the top word above the width
+	if r := width % 64; r != 0 {
+		top = ^uint64(0) << r
+	}
+	ia, ib := si.Words(sig)
+	ca, cb := mc.Words(sig)
+	for _, p := range []struct {
+		name  string
+		words []uint64
+	}{{"interp aval", ia}, {"interp bval", ib}, {"compiled aval", ca}, {"compiled bval", cb}} {
+		if len(p.words) != nw {
+			return fmt.Errorf("%s has %d words, want %d", p.name, len(p.words), nw)
+		}
+		if nw > 0 && p.words[nw-1]&top != 0 {
+			return fmt.Errorf("%s has bits set above width %d: %#x", p.name, width, p.words[nw-1])
+		}
+	}
+	for w := 0; w < nw; w++ {
+		if ia[w] != ca[w] || ib[w] != cb[w] {
+			return fmt.Errorf("word %d: interp=(%#x,%#x) compiled=(%#x,%#x)", w, ia[w], ib[w], ca[w], cb[w])
 		}
 	}
 	return nil

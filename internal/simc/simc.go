@@ -274,6 +274,12 @@ func (m *Machine) Get(sig int) logic.BV {
 	return logic.FromWords(v.width, v.a, v.b)
 }
 
+// Words returns the signal's arena planes (see sim.DUV.Words).
+func (m *Machine) Words(sig int) (a, b []uint64) {
+	v := m.views[sig]
+	return v.a, v.b
+}
+
 // GetMem returns a memory word (X for out-of-range).
 func (m *Machine) GetMem(mem int, addr uint64) logic.BV {
 	words := m.mems[mem]
@@ -469,13 +475,20 @@ func (m *Machine) AdvanceCycle() {
 	}
 }
 
+// clkHigh and clkLow are the clock levels Tick drives; BV values are
+// immutable, so they are shared rather than allocated every cycle.
+var (
+	clkHigh = logic.Ones(1)
+	clkLow  = logic.Zero(1)
+)
+
 // Tick drives one full clock cycle on the given clock signal index.
 func (m *Machine) Tick(clk int) error {
-	m.Set(clk, logic.Ones(1))
+	m.Set(clk, clkHigh)
 	if err := m.Settle(); err != nil {
 		return err
 	}
-	m.Set(clk, logic.Zero(1))
+	m.Set(clk, clkLow)
 	if err := m.Settle(); err != nil {
 		return err
 	}
