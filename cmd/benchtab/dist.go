@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/dist"
+	"repro/internal/fleet"
 	"repro/internal/par"
 )
 
@@ -170,10 +171,11 @@ func measureDist(b *designs.Benchmark, benchName string, budget uint64, workers 
 	return row, nil
 }
 
-// runLoopback hosts a coordinator and workers worker goroutines over
-// loopback HTTP and waits for the merged report.
+// runLoopback hosts the campaign on a one-campaign fleet and workers
+// worker goroutines over loopback HTTP, and waits for the merged
+// report.
 func runLoopback(spec dist.CampaignSpec, stopAt int) (*par.Report, error) {
-	co, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordConfig{
+	co, err := fleet.NewServer("127.0.0.1:0", fleet.Config{}, dist.CoordConfig{
 		Spec: spec, StopAtPoints: stopAt,
 	})
 	if err != nil {
@@ -199,7 +201,7 @@ func runLoopback(spec dist.CampaignSpec, stopAt int) (*par.Report, error) {
 			return nil, fmt.Errorf("worker %d: %w", i, werr)
 		}
 	}
-	rep, err := co.Wait(ctx)
+	rep, err := co.WaitCampaign(ctx, "")
 	sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	_ = co.Shutdown(sctx)
 	cancel()

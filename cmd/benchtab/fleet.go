@@ -185,11 +185,11 @@ func measureWire(benchName string, budget uint64, workers int, seed int64) (*Fle
 	return row, nil
 }
 
-// runWireArm hosts a coordinator over loopback, runs the campaign's
-// workers with the chosen publish encoding, and returns the merged
-// report plus the coordinator's wire ledger.
+// runWireArm hosts the campaign on a one-campaign fleet over loopback,
+// runs its workers with the chosen publish encoding, and returns the
+// merged report plus the campaign's wire ledger.
 func runWireArm(spec dist.CampaignSpec, syncPublish bool) (*par.Report, []prof.WireEntry, error) {
-	co, err := dist.NewCoordinator("127.0.0.1:0", dist.CoordConfig{Spec: spec})
+	co, err := fleet.NewServer("127.0.0.1:0", fleet.Config{}, dist.CoordConfig{Spec: spec})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -214,8 +214,9 @@ func runWireArm(spec dist.CampaignSpec, syncPublish bool) (*par.Report, []prof.W
 			return nil, nil, fmt.Errorf("worker %d: %w", i, werr)
 		}
 	}
-	rep, err := co.Wait(ctx)
-	ledger := co.WireLedger()
+	rep, err := co.WaitCampaign(ctx, "")
+	cs, _ := co.State("")
+	ledger := cs.WireLedger()
 	sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	_ = co.Shutdown(sctx)
 	cancel()

@@ -7,13 +7,16 @@
 //	symbfuzz -src design.sv -top mymodule -vectors 50000
 //	symbfuzz -bench aes -trace out.jsonl -metrics metrics.json -status :6060
 //
-// Distributed campaigns run one coordinator and N workers:
+// Distributed campaigns run one coordinator and N workers. -serve
+// hosts a single campaign on a one-campaign fleet, so workers need no
+// campaign name and the fleet's /v1/campaigns and /metrics surfaces
+// answer on it too:
 //
 //	symbfuzz -serve :7070 -bench scmi_mailbox -workers 2 -journal camp.jsonl
 //	symbfuzz -connect host:7070            # on each worker machine
 //	symbfuzz -serve :7070 ... -journal camp.jsonl -resume   # after a crash
 //
-// Fleet mode hosts many named campaigns on one coordinator process;
+// Fleet mode hosts many named campaigns on the same coordinator;
 // campaigns are managed over the control surface with fuzzctl:
 //
 //	symbfuzz -fleet :7070 -journal-dir fleetdir             # coordinator
@@ -239,9 +242,12 @@ func main() {
 	}
 
 	// Flush telemetry before exiting on any path: the trace file ends
-	// with what the campaign managed to emit, interrupted or not.
-	if cerr := o.Close(); cerr != nil {
-		fmt.Fprintln(os.Stderr, "symbfuzz: trace:", cerr)
+	// with what the campaign managed to emit, interrupted or not. A
+	// -serve fleet has already closed the observer it was handed.
+	if *serveOn == "" {
+		if cerr := o.Close(); cerr != nil {
+			fmt.Fprintln(os.Stderr, "symbfuzz: trace:", cerr)
+		}
 	}
 	if statusSrv != nil {
 		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -316,33 +322,30 @@ func main() {
 	}
 }
 
-// runServe hosts the distributed-campaign coordinator until every
-// shard rank has reported (or ctx is interrupted). When the spec
-// profiles, the workers' rank ledgers (delivered with their reports)
-// are merged into a campaign cost dump annotated with the
-// coordinator's per-RPC wire tally.
+// runServe hosts one distributed campaign — a one-campaign fleet that
+// unnamed workers resolve to — until every shard rank has reported (or
+// ctx is interrupted). The fleet owns o from here on and closes it at
+// shutdown. When the spec profiles, the workers' rank ledgers
+// (delivered with their reports) are merged into a campaign cost dump
+// annotated with the coordinator's per-RPC wire tally.
 func runServe(ctx context.Context, addr string, spec dist.CampaignSpec, benchName string,
 	journal string, resume bool, leaseTTL time.Duration, o *symbfuzz.Observer) (*symbfuzz.ParallelReport, *symbfuzz.CostDump, error) {
-	co, err := dist.NewCoordinator(addr, dist.CoordConfig{
-		Spec:        spec,
-		LeaseTTL:    leaseTTL,
-		JournalPath: journal,
-		Resume:      resume,
-		Obs:         o,
-	})
+	s, err := fleet.NewServer(addr, fleet.Config{LeaseTTL: leaseTTL, Quota: fleet.Quota{MaxCampaigns: 1}},
+		dist.CoordConfig{Spec: spec, LeaseTTL: leaseTTL, JournalPath: journal, Resume: resume, Obs: o})
 	if err != nil {
 		return nil, nil, err
 	}
 	fmt.Printf("coordinator listening on %s (campaign: %d workers, seed %d)\n",
-		co.Addr(), spec.Workers, spec.Seed)
-	rep, err := co.Wait(ctx)
+		s.Addr(), spec.Workers, spec.Seed)
+	rep, err := s.WaitCampaign(ctx, "")
 	var dump *symbfuzz.CostDump
 	if spec.Profile && err == nil {
-		dump = symbfuzz.NewCostDump(benchName, spec.Seed, co.Ledgers())
-		dump.Wire = co.WireLedger()
+		cs, _ := s.State("")
+		dump = symbfuzz.NewCostDump(benchName, spec.Seed, cs.Ledgers())
+		dump.Wire = cs.WireLedger()
 	}
 	sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	_ = co.Shutdown(sctx)
+	_ = s.Shutdown(sctx)
 	cancel()
 	return rep, dump, err
 }

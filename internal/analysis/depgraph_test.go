@@ -8,9 +8,8 @@ import (
 	"repro/internal/elab"
 )
 
-// TestLevelizedOrderIsTopological is the property behind the compiled
-// backend's levelized drain mode: for every builtin design, the
-// levelized order of the register-cut dependency graph must be a valid
+// TestLevelizedOrderIsTopological pins the dependency graph's
+// evaluation order: for every builtin design, the levelized order of the register-cut dependency graph must be a valid
 // topological order of the combinational subgraph. Registers and
 // inputs cut the graph at level 0, so a combinationally written signal
 // must appear strictly after every combinationally written signal it

@@ -3,7 +3,9 @@ package dist
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/designs"
+	"repro/internal/par"
 	"repro/internal/props"
 )
 
@@ -69,4 +71,47 @@ func lookupBench(name string, fixed bool) (*designs.Benchmark, error) {
 		return b, nil
 	}
 	return nil, fmt.Errorf("dist: unknown benchmark %q", name)
+}
+
+// specEqual compares campaign specs field by field (CampaignSpec
+// holds a slice, so == does not apply).
+func specEqual(a, b CampaignSpec) bool {
+	if len(a.Props) != len(b.Props) {
+		return false
+	}
+	for i := range a.Props {
+		if a.Props[i] != b.Props[i] {
+			return false
+		}
+	}
+	return a.Bench == b.Bench && a.Fixed == b.Fixed &&
+		a.Source == b.Source && a.Top == b.Top &&
+		a.Interval == b.Interval && a.Threshold == b.Threshold &&
+		a.MaxVectors == b.MaxVectors && a.Seed == b.Seed &&
+		a.Workers == b.Workers && a.UseSnapshots == b.UseSnapshots &&
+		a.ContinueAfterCoverage == b.ContinueAfterCoverage &&
+		a.DisableSlicing == b.DisableSlicing &&
+		a.Profile == b.Profile &&
+		a.SimBackend == b.SimBackend
+}
+
+// specConfig builds rank's engine configuration from the campaign
+// spec — the exact recipe par.RunContext uses for its in-process
+// workers, which is what makes the merged reports agree.
+func specConfig(s CampaignSpec, rank int) core.Config {
+	wc := core.Config{
+		Interval:              s.Interval,
+		Threshold:             s.Threshold,
+		MaxVectors:            s.MaxVectors,
+		Seed:                  par.WorkerSeed(s.Seed, rank),
+		SharedSeed:            s.Seed,
+		UseSnapshots:          s.UseSnapshots,
+		ContinueAfterCoverage: s.ContinueAfterCoverage,
+		DisableSlicing:        s.DisableSlicing,
+		SimBackend:            s.SimBackend,
+	}
+	if s.Workers > 1 {
+		wc.Shard = core.ShardSpec{Rank: rank, Workers: s.Workers}
+	}
+	return wc
 }

@@ -15,10 +15,62 @@ import (
 	"repro/internal/watch"
 )
 
+// CoordConfig parameterizes one hosted campaign's state machine.
+type CoordConfig struct {
+	Spec CampaignSpec
+
+	// Name is the fleet campaign name this state serves under (empty
+	// for the one campaign `symbfuzz -serve` hosts). It is journaled so
+	// a fleet resume can sanity-check the file it picked up.
+	Name string
+
+	// LeaseTTL is how long a rank lease survives without a heartbeat
+	// or publish before the rank becomes claimable by another worker
+	// (default 5s).
+	LeaseTTL time.Duration
+
+	// JournalPath, when set, appends completed-rank reports to an
+	// append-only JSONL journal; Resume replays an existing journal so
+	// a restarted coordinator keeps the ranks that already finished.
+	JournalPath string
+	Resume      bool
+
+	// CompactBytes is the journal size past which the coordinator
+	// rewrites the file down to its live state (the campaign record
+	// plus the last report per rank), keeping resume O(live state)
+	// instead of O(appended history). 0 means the 1 MiB default;
+	// negative disables compaction.
+	CompactBytes int64
+
+	// Obs receives campaign telemetry: the coordinator emits
+	// campaign_start/campaign_end on the campaign lane and re-emits
+	// each rank's worker-lane event stream verbatim when its report
+	// arrives, so the resulting trace validates like an in-process
+	// parallel campaign's.
+	Obs *obs.Observer
+
+	// StopAtPoints / StopWhenAllCovered arm the frontier's opt-in stop
+	// conditions (propagated to workers through publish/heartbeat
+	// responses). Leave unset for deterministic fixed-budget runs.
+	StopAtPoints       int
+	StopWhenAllCovered bool
+
+	// OnPublish, when set, observes every applied coverage publish:
+	// the rank, its delta sequence (0 for full-snapshot publishes and
+	// final reports), the rank's cumulative vectors, and the global
+	// frontier point count after the merge. The fleet's watch plane
+	// synthesizes interval samples from it. Must not block.
+	OnPublish func(rank int, seq uint64, vectors uint64, points int)
+	// OnSolve, when set, observes every solver result folded into the
+	// shared plan cache: the solving rank, the target (cluster graph,
+	// node), the outcome string, and the solve wall time. Must not
+	// block.
+	OnSolve func(rank, graph, to int, outcome string, ns int64)
+}
+
 // CampaignState is one campaign's complete coordinator-side state
-// machine, factored out of the HTTP host so a single-campaign
-// Coordinator and a multi-campaign fleet server can share it: the
-// elaborated partition, the global frontier, the shared plan cache,
+// machine, hosted over HTTP by the fleet server: the elaborated
+// partition, the global frontier, the shared plan cache,
 // the lease table, the batch sequence tracking, the journal, and the
 // finalize-once merged-report builder. All methods take decoded wire
 // requests and return wire responses; HTTP status mapping is the

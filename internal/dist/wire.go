@@ -48,9 +48,9 @@ import (
 // restart count in solver statistics. v3 added the Profile flag on
 // the campaign spec and the rank cost ledger on /v1/report, so the
 // coordinator can merge per-rank profiling ledgers rank-ordered.
-// v4 added fleet multiplexing: the campaign name on every request (a
-// multi-campaign coordinator routes on it; a single-campaign
-// coordinator ignores it), the batched delta-encoded /v1/batch
+// v4 added fleet multiplexing: the campaign name on every request (the
+// fleet coordinator routes on it; empty means its sole campaign), the
+// batched delta-encoded /v1/batch
 // message (coalesced coverage deltas + fire-and-forget cache stores,
 // with sequence numbers for idempotent redelivery and a resync signal
 // after a coordinator restart), and the Batch capability flag on the
@@ -108,8 +108,8 @@ type CampaignSpec struct {
 
 // JoinRequest opens a worker session. RankHint (-1 for none) asks the
 // coordinator to prefer a specific shard rank at the next lease.
-// Campaign names the target campaign on a fleet coordinator (empty on
-// a single-campaign coordinator, which ignores it).
+// Campaign names the target campaign on the fleet coordinator (empty:
+// its sole campaign, as on `symbfuzz -serve`).
 type JoinRequest struct {
 	Proto    int    `json:"proto"`
 	WorkerID string `json:"worker_id"`

@@ -24,8 +24,8 @@ type WorkerConfig struct {
 	// WorkerID must be unique per worker process (the CLI derives one
 	// from hostname+pid).
 	WorkerID string
-	// Campaign names the target campaign on a fleet coordinator; empty
-	// against a single-campaign coordinator.
+	// Campaign names the target campaign on the fleet coordinator;
+	// empty targets its sole campaign, the one `symbfuzz -serve` hosts.
 	Campaign string
 	// RankHint, when >= 0, asks for a specific shard rank first.
 	RankHint int

@@ -2,25 +2,52 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strings"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/obs"
 )
 
-// ---- HTTP plumbing (mirrors the single-campaign coordinator's) ----
+// ---- HTTP plumbing ----
 
-func decode[T any](w http.ResponseWriter, r *http.Request, req *T) bool {
+// maxBodyBytes bounds every request body the server decodes: the
+// worker RPCs and POST /v1/campaigns. The largest bodies are final
+// rank reports, which carry the rank's coverage, trace lane and cost
+// ledger. The largest body the test suite, the CI smokes and the
+// benchtab records send is 219,848 bytes, so the bound leaves about
+// 75x headroom for longer campaigns.
+const maxBodyBytes = 16 << 20
+
+// decode reads a bounded POST body into req and returns the bytes
+// actually read — what the batch quota and the wire tally charge,
+// since a chunked upload declares no Content-Length. An oversized body
+// answers 413 and a malformed one 400, both before any campaign state
+// is touched.
+func decode[T any](w http.ResponseWriter, r *http.Request, req *T) (int64, bool) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST required")
-		return false
+		return 0, false
 	}
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	n := int64(len(data))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeErr(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", tooBig.Limit))
+		return n, false
+	case err == nil:
+		err = json.Unmarshal(data, req)
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "malformed request: "+err.Error())
-		return false
+		return n, false
 	}
-	return true
+	return n, true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -28,88 +55,90 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeErr answers an error; a 429 carries the Retry-After the worker
+// client's backoff honors.
 func writeErr(w http.ResponseWriter, code int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
+	if code == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(dist.ErrorResponse{Error: msg})
 }
 
-// write429 answers a quota rejection with the Retry-After the worker
-// client's backoff honors.
-func write429(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", "1")
-	writeErr(w, http.StatusTooManyRequests, msg)
+// countingWriter counts response bytes for the wire tally.
+type countingWriter struct {
+	http.ResponseWriter
+	n int64
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	n, err := w.ResponseWriter.Write(p)
+	w.n += int64(n)
+	return n, err
 }
 
 // ---- worker-facing endpoints (campaign-routed) ----
 
+// serveRPC is the one path every worker RPC takes: decode the bounded
+// body into req, route it to the campaign *name names (empty: the sole
+// hosted campaign), answer with call's result, and charge that
+// campaign's wire tally exactly once — request bytes read, response
+// bytes written, handler wall time. call receives the request size.
+func serveRPC[T any](s *Server, w http.ResponseWriter, r *http.Request, rpc string, req *T, name *string,
+	call func(c *campaign, n int64) (any, *dist.HTTPError)) {
+	t0 := time.Now()
+	n, ok := decode(w, r, req)
+	if !ok {
+		return
+	}
+	c, herr := s.lookup(*name)
+	if herr != nil {
+		writeErr(w, herr.Code, herr.Msg)
+		return
+	}
+	cw := &countingWriter{ResponseWriter: w}
+	if resp, herr := call(c, n); herr != nil {
+		writeErr(cw, herr.Code, herr.Msg)
+	} else {
+		writeJSON(cw, resp)
+	}
+	c.cs.AddWire(rpc, n, cw.n, int64(time.Since(t0)))
+}
+
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req dist.JoinRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	resp, herr := c.cs.Join(req, true)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	writeJSON(w, resp)
+	serveRPC(s, w, r, "join", &req, &req.Campaign, func(c *campaign, _ int64) (any, *dist.HTTPError) {
+		return c.cs.Join(req, true)
+	})
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req dist.LeaseRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	if c.cancelled.Load() {
-		writeJSON(w, dist.LeaseResponse{Rank: -1, Done: true})
-		return
-	}
-	writeJSON(w, c.cs.Lease(req))
+	serveRPC(s, w, r, "lease", &req, &req.Campaign, func(c *campaign, _ int64) (any, *dist.HTTPError) {
+		if c.cancelled.Load() {
+			return dist.LeaseResponse{Rank: -1, Done: true}, nil
+		}
+		return c.cs.Lease(req), nil
+	})
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req dist.HeartbeatRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	resp := c.cs.Heartbeat(req)
-	if c.cancelled.Load() {
-		resp.Stop = true
-	}
-	writeJSON(w, resp)
+	serveRPC(s, w, r, "heartbeat", &req, &req.Campaign, func(c *campaign, _ int64) (any, *dist.HTTPError) {
+		resp := c.cs.Heartbeat(req)
+		resp.Stop = resp.Stop || c.cancelled.Load()
+		return resp, nil
+	})
 }
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	var req dist.PublishRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	resp := c.cs.Publish(req)
-	if c.cancelled.Load() {
-		resp.Stop = true
-	}
-	writeJSON(w, resp)
+	serveRPC(s, w, r, "publish", &req, &req.Campaign, func(c *campaign, _ int64) (any, *dist.HTTPError) {
+		resp := c.cs.Publish(req)
+		resp.Stop = resp.Stop || c.cancelled.Load()
+		return resp, nil
+	})
 }
 
 // handleBatch is the admission-controlled ingest path: the request is
@@ -120,81 +149,50 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 // a later flush succeeds.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req dist.BatchRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	n := r.ContentLength
-	if n < 0 {
-		n = 0
-	}
-	if c.queuedBytes.Load()+n > s.quota.QueueBytes {
-		c.c429.Inc()
-		s.cRejBatches.Inc()
-		s.cRejBytes.Add(n)
-		write429(w, "campaign ingest queue over byte budget")
-		return
-	}
-	in := ingest{req: req, bytes: n, resp: make(chan dist.BatchResponse, 1)}
-	select {
-	case c.queue <- in:
-	default:
-		c.c429.Inc()
-		s.cRejBatches.Inc()
-		s.cRejBytes.Add(n)
-		write429(w, "campaign ingest queue full")
-		return
-	}
-	c.queuedBytes.Add(n)
-	c.gDepth.Set(int64(len(c.queue)))
-	c.gBytes.Set(c.queuedBytes.Load())
-	select {
-	case resp := <-in.resp:
-		writeJSON(w, resp)
-	case <-r.Context().Done():
-		// Client gave up; the drainer will still apply the batch and
-		// its buffered response just gets dropped.
-	}
+	serveRPC(s, w, r, "batch", &req, &req.Campaign, func(c *campaign, n int64) (any, *dist.HTTPError) {
+		if c.queuedBytes.Load()+n > s.quota.QueueBytes {
+			return nil, s.reject429(c, n, "campaign ingest queue over byte budget")
+		}
+		in := ingest{req: req, bytes: n, resp: make(chan dist.BatchResponse, 1)}
+		select {
+		case c.queue <- in:
+		default:
+			return nil, s.reject429(c, n, "campaign ingest queue full")
+		}
+		c.queuedBytes.Add(n)
+		c.gDepth.Set(int64(len(c.queue)))
+		c.gBytes.Set(c.queuedBytes.Load())
+		select {
+		case resp := <-in.resp:
+			return resp, nil
+		case <-r.Context().Done():
+			// Client gave up; the drainer will still apply the batch and
+			// its buffered response just gets dropped.
+			return nil, &dist.HTTPError{Code: http.StatusServiceUnavailable, Msg: "client gone before the batch applied"}
+		}
+	})
+}
+
+// reject429 counts a batch the ingest quota turned away.
+func (s *Server) reject429(c *campaign, n int64, msg string) *dist.HTTPError {
+	c.c429.Inc()
+	s.cRejBatches.Inc()
+	s.cRejBytes.Add(n)
+	return &dist.HTTPError{Code: http.StatusTooManyRequests, Msg: msg}
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 	var req dist.CacheRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	resp, herr := c.cs.Cache(req)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	writeJSON(w, resp)
+	serveRPC(s, w, r, "cache", &req, &req.Campaign, func(c *campaign, _ int64) (any, *dist.HTTPError) {
+		return c.cs.Cache(req)
+	})
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	var req dist.ReportRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	c, herr := s.lookup(req.Campaign)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	resp, herr := c.cs.Report(req)
-	if herr != nil {
-		writeErr(w, herr.Code, herr.Msg)
-		return
-	}
-	writeJSON(w, resp)
+	serveRPC(s, w, r, "report", &req, &req.Campaign, func(c *campaign, _ int64) (any, *dist.HTTPError) {
+		return c.cs.Report(req)
+	})
 }
 
 // ---- control surface ----
@@ -204,15 +202,11 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req CreateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, "malformed request: "+err.Error())
+		if _, ok := decode(w, r, &req); !ok {
 			return
 		}
 		c, herr := s.admit(req, false)
 		if herr != nil {
-			if herr.Code == http.StatusTooManyRequests {
-				w.Header().Set("Retry-After", "1")
-			}
 			writeErr(w, herr.Code, herr.Msg)
 			return
 		}

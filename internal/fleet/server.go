@@ -1,13 +1,16 @@
-// Package fleet is the multi-campaign coordinator: one process
-// hosting many named campaigns behind the v4 wire protocol. Each
-// campaign keeps its own frontier, plan cache, lease table, journal
-// and metrics registry — a dist.CampaignState — and every worker RPC
-// carries a campaign name that routes it to the right state machine.
+// Package fleet is the campaign coordinator: one process hosting
+// named campaigns behind the v4 wire protocol. Each campaign keeps its
+// own frontier, plan cache, lease table, journal and metrics registry
+// — a dist.CampaignState — and every worker RPC carries a campaign
+// name that routes it to the right state machine. An empty name
+// resolves to the sole campaign of a one-campaign fleet, which is what
+// `symbfuzz -serve` runs: its unnamed workers need no routing.
 //
-// The fleet adds what a single-campaign coordinator does not need:
+// Around the state machines the fleet adds:
 //
-//   - Admission control: campaign names are validated, campaign count
-//     and per-campaign rank count are capped, and a full ingest queue
+//   - Admission control: request bodies are bounded (413 past the
+//     bound), campaign names are validated, campaign count and
+//     per-campaign rank count are capped, and a full ingest queue
 //     answers 429 with Retry-After instead of buffering unboundedly.
 //     Workers already treat 429 as a retryable backoff signal, so
 //     backpressure degrades throughput, never correctness.
@@ -23,11 +26,11 @@
 //     endpoint exporting every campaign's registry under a
 //     campaign="<name>" label.
 //
-// Determinism is inherited, not re-proven: the fleet routes wire
-// requests to the same CampaignState a single-campaign coordinator
-// uses, so each campaign's merged report stays byte-identical to the
-// equivalent -serve or in-process -workers run, regardless of what
-// the other campaigns on the process are doing.
+// Determinism is inherited, not re-proven: every wire request is
+// routed to its campaign's CampaignState, so each campaign's merged
+// report stays byte-identical to the equivalent in-process -workers
+// run, regardless of what the other campaigns on the process are
+// doing.
 package fleet
 
 import (
@@ -253,8 +256,11 @@ type Server struct {
 // NewServer binds addr and starts serving. With Resume set and a
 // journal directory, every <name>.jsonl journal found there is
 // re-admitted before the listener opens, so workers reconnecting
-// after a fleet restart find their campaigns already live.
-func NewServer(addr string, cfg Config) (*Server, error) {
+// after a fleet restart find their campaigns already live. The
+// campaigns passed in are installed the same way, before the listener
+// opens: `symbfuzz -serve` hands its one campaign over here, under the
+// empty name that unnamed workers resolve to.
+func NewServer(addr string, cfg Config, campaigns ...dist.CoordConfig) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		quota:     cfg.Quota.withDefaults(),
@@ -286,12 +292,20 @@ func NewServer(addr string, cfg Config) (*Server, error) {
 		}
 		if cfg.Resume {
 			if err := s.resumeJournals(); err != nil {
+				s.closeCampaigns()
 				return nil, err
 			}
 		}
 	}
+	for _, cc := range campaigns {
+		if _, herr := s.install(cc); herr != nil {
+			s.closeCampaigns()
+			return nil, herr
+		}
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
+		s.closeCampaigns()
 		return nil, err
 	}
 	s.ln = ln
@@ -367,22 +381,16 @@ func (s *Server) admit(req CreateRequest, resume bool) (*campaign, *dist.HTTPErr
 		return nil, &dist.HTTPError{Code: 400, Msg: fmt.Sprintf(
 			"campaign %q wants %d ranks; quota allows %d", req.Name, req.Spec.Workers, s.quota.MaxWorkers)}
 	}
-
+	// Checked before the trace file is created: os.Create would
+	// truncate the trace of a live campaign of the same name.
 	s.mu.Lock()
-	if s.camps[req.Name] != nil {
-		s.mu.Unlock()
-		return nil, &dist.HTTPError{Code: 409, Msg: fmt.Sprintf("campaign %q already exists", req.Name)}
-	}
-	if len(s.camps) >= s.quota.MaxCampaigns {
-		s.mu.Unlock()
-		s.cRejCampaigns.Inc()
-		return nil, &dist.HTTPError{Code: 429, Msg: fmt.Sprintf(
-			"fleet at capacity (%d campaigns); cancel one or retry later", s.quota.MaxCampaigns)}
-	}
+	herr := s.vacancyLocked(req.Name)
 	s.mu.Unlock()
+	if herr != nil {
+		return nil, herr
+	}
 
-	reg := obs.NewRegistry()
-	oo := obs.Options{Registry: reg}
+	oo := obs.Options{}
 	if s.cfg.TraceDir != "" {
 		f, err := os.Create(filepath.Join(s.cfg.TraceDir, req.Name+".trace.jsonl"))
 		if err != nil {
@@ -390,21 +398,52 @@ func (s *Server) admit(req CreateRequest, resume bool) (*campaign, *dist.HTTPErr
 		}
 		oo.Tracer = obs.NewJSONLTracer(f)
 	}
-	o := obs.New(oo)
-	// The watch hooks capture c by reference: it is assigned below,
-	// before the campaign becomes reachable (the mutex-guarded install
-	// publishes the write to every handler and the drain goroutine), so
-	// no hook ever observes it nil.
-	var c *campaign
 	cc := dist.CoordConfig{
 		Spec:               req.Spec,
 		Name:               req.Name,
 		LeaseTTL:           s.cfg.LeaseTTL,
 		CompactBytes:       s.cfg.CompactBytes,
-		Obs:                o,
+		Obs:                obs.New(oo),
 		StopAtPoints:       req.StopAtPoints,
 		StopWhenAllCovered: req.StopWhenAllCovered,
 	}
+	if s.cfg.JournalDir != "" {
+		cc.JournalPath = filepath.Join(s.cfg.JournalDir, req.Name+".jsonl")
+		cc.Resume = resume
+	}
+	return s.install(cc)
+}
+
+// vacancyLocked reports why a campaign called name cannot be
+// installed now: the name is taken, or the fleet is at its campaign
+// quota. Called with s.mu held.
+func (s *Server) vacancyLocked(name string) *dist.HTTPError {
+	if s.camps[name] != nil {
+		return &dist.HTTPError{Code: 409, Msg: fmt.Sprintf("campaign %q already exists", name)}
+	}
+	if len(s.camps) >= s.quota.MaxCampaigns {
+		s.cRejCampaigns.Inc()
+		return &dist.HTTPError{Code: 429, Msg: fmt.Sprintf(
+			"fleet at capacity (%d campaigns); cancel one or retry later", s.quota.MaxCampaigns)}
+	}
+	return nil
+}
+
+// install hosts a campaign built from a complete coordinator config.
+// It is the one way onto the fleet: admission over /v1/campaigns,
+// journal resume, and the campaigns handed to NewServer all end here.
+// The campaign is served under cc.Name (the empty name is the sole
+// campaign of a one-campaign fleet), and the fleet owns cc.Obs from
+// here on: Shutdown closes it, or install does on failure.
+func (s *Server) install(cc dist.CoordConfig) (*campaign, *dist.HTTPError) {
+	if cc.Obs == nil {
+		cc.Obs = obs.New(obs.Options{})
+	}
+	// The watch hooks capture c by reference: it is assigned below,
+	// before the campaign becomes reachable (the mutex-guarded install
+	// publishes the write to every handler and the drain goroutine), so
+	// no hook ever observes it nil.
+	var c *campaign
 	if s.watch != nil {
 		cc.OnPublish = func(rank int, seq uint64, vectors uint64, points int) {
 			s.watchPublish(c, rank, seq, vectors, points)
@@ -413,21 +452,18 @@ func (s *Server) admit(req CreateRequest, resume bool) (*campaign, *dist.HTTPErr
 			s.watchSolve(c, rank, graph, to, outcome, ns)
 		}
 	}
-	if s.cfg.JournalDir != "" {
-		cc.JournalPath = filepath.Join(s.cfg.JournalDir, req.Name+".jsonl")
-		cc.Resume = resume
-	}
 	cs, err := dist.NewCampaignState(cc)
 	if err != nil {
-		_ = o.Close()
+		_ = cc.Obs.Close()
 		return nil, &dist.HTTPError{Code: 400, Msg: err.Error()}
 	}
 
+	reg := cc.Obs.Registry()
 	c = &campaign{
-		name:     req.Name,
+		name:     cc.Name,
 		cs:       cs,
 		reg:      reg,
-		obs:      o,
+		obs:      cc.Obs,
 		queue:    make(chan ingest, s.quota.QueueDepth),
 		gDepth:   reg.Gauge("fleet_queue_depth"),
 		gBytes:   reg.Gauge("fleet_queue_bytes"),
@@ -447,21 +483,13 @@ func (s *Server) admit(req CreateRequest, resume bool) (*campaign, *dist.HTTPErr
 	}
 
 	s.mu.Lock()
-	if s.camps[req.Name] != nil {
+	if herr := s.vacancyLocked(cc.Name); herr != nil {
 		s.mu.Unlock()
 		cs.CloseJournal()
-		_ = o.Close()
-		return nil, &dist.HTTPError{Code: 409, Msg: fmt.Sprintf("campaign %q already exists", req.Name)}
+		_ = cc.Obs.Close()
+		return nil, herr
 	}
-	if len(s.camps) >= s.quota.MaxCampaigns {
-		s.mu.Unlock()
-		s.cRejCampaigns.Inc()
-		cs.CloseJournal()
-		_ = o.Close()
-		return nil, &dist.HTTPError{Code: 429, Msg: fmt.Sprintf(
-			"fleet at capacity (%d campaigns); cancel one or retry later", s.quota.MaxCampaigns)}
-	}
-	s.camps[req.Name] = c
+	s.camps[cc.Name] = c
 	s.gHosted.Set(int64(len(s.camps)))
 	s.mu.Unlock()
 
@@ -496,7 +524,6 @@ func (s *Server) drain(c *campaign) {
 				c.cBatches.Inc()
 				c.hBytes.Observe(in.bytes)
 				c.hDeltas.Observe(int64(len(in.req.Publishes)))
-				c.cs.AddWire("batch", in.bytes, 0, 0)
 				if b := s.quota.SolverBudgetNS; b > 0 && c.cs.SolverNS() > b && !c.budgetStop.Swap(true) {
 					c.cs.ForceStop()
 					c.reg.Counter("fleet_budget_stops_total").Inc()
@@ -573,14 +600,14 @@ func (s *Server) campaignsSorted() []*campaign {
 }
 
 // Report finalizes and returns a completed campaign's merged report —
-// the same par.Report a single-campaign coordinator's Wait returns.
+// the same par.Report WaitCampaign returns.
 // It fails while ranks are still running unless the campaign was
 // cancelled (a cancelled campaign merges what completed, marked
 // Interrupted).
 func (s *Server) Report(name string) (*par.Report, error) {
 	c, herr := s.lookup(name)
 	if herr != nil {
-		return nil, fmt.Errorf("%s", herr.Msg)
+		return nil, herr
 	}
 	select {
 	case <-c.cs.Done():
@@ -592,19 +619,31 @@ func (s *Server) Report(name string) (*par.Report, error) {
 	return c.cs.Finalize(c.cancelled.Load())
 }
 
-// WaitCampaign blocks until the named campaign's ranks all report (or
-// ctx ends, which cancels the campaign) and returns its merged report.
+// State returns the named campaign's state machine, e.g. to read its
+// cost ledgers and wire tally once WaitCampaign has returned.
+func (s *Server) State(name string) (*dist.CampaignState, error) {
+	c, herr := s.lookup(name)
+	if herr != nil {
+		return nil, herr
+	}
+	return c.cs, nil
+}
+
+// WaitCampaign blocks until the named campaign's ranks all report and
+// returns its merged report. When ctx ends first, the campaign's stop
+// signal is tripped (workers stop at their next boundary and deliver
+// partial reports), deliveries are drained briefly, and the merge
+// covers whatever ranks completed, marked Interrupted.
 func (s *Server) WaitCampaign(ctx context.Context, name string) (*par.Report, error) {
 	c, herr := s.lookup(name)
 	if herr != nil {
-		return nil, fmt.Errorf("%s", herr.Msg)
+		return nil, herr
 	}
 	interrupted := false
 	select {
 	case <-c.cs.Done():
 	case <-ctx.Done():
 		interrupted = true
-		c.cancelled.Store(true)
 		c.cs.ForceStop()
 		select {
 		case <-c.cs.Done():
@@ -634,8 +673,19 @@ func (s *Server) leaseTTL() time.Duration {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopWatch()
 	err := s.srv.Shutdown(ctx)
+	if cerr := s.closeCampaigns(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// closeCampaigns stops the drainers, finalizes every completed
+// campaign (flushing its merged trace), and closes every campaign's
+// observer and journal.
+func (s *Server) closeCampaigns() error {
 	s.quitOnce.Do(func() { close(s.quit) })
 	s.wg.Wait()
+	var err error
 	for _, c := range s.campaignsSorted() {
 		select {
 		case <-c.cs.Done():

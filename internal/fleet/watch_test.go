@@ -34,33 +34,6 @@ func quietRules() watch.Rules {
 	}
 }
 
-// readJournalAlerts returns the alert records of a campaign journal in
-// append order.
-func readJournalAlerts(t *testing.T, path string) []watch.Alert {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("open journal: %v", err)
-	}
-	defer f.Close()
-	var out []watch.Alert
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for sc.Scan() {
-		var rec struct {
-			Kind  string       `json:"kind"`
-			Alert *watch.Alert `json:"alert"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			continue
-		}
-		if rec.Kind == "alert" && rec.Alert != nil {
-			out = append(out, *rec.Alert)
-		}
-	}
-	return out
-}
-
 func alertIDs(alerts []watch.Alert) []string {
 	ids := make([]string, len(alerts))
 	for i, a := range alerts {
@@ -132,7 +105,7 @@ func TestWatchStallAlertDeterministic(t *testing.T) {
 		if _, err := s.WaitCampaign(context.Background(), "solo"); err != nil {
 			t.Fatalf("wait: %v", err)
 		}
-		return readJournalAlerts(t, filepath.Join(dir, "solo.jsonl")),
+		return readJournal(t, filepath.Join(dir, "solo.jsonl")).Alerts,
 			filepath.Join(traces, "solo.trace.jsonl"), s, dir
 	}
 
@@ -252,7 +225,7 @@ func TestWatchRankDeadAndResumeSeeding(t *testing.T) {
 	journal := filepath.Join(dir, "camp.jsonl")
 	var deadID string
 	waitFor(t, 5*time.Second, "rank_dead alert in journal", func() bool {
-		for _, a := range readJournalAlerts(t, journal) {
+		for _, a := range readJournal(t, journal).Alerts {
 			if a.Rule == watch.RuleRankDead && a.Lane == 0 {
 				deadID = a.ID
 				return true
@@ -296,7 +269,7 @@ func TestWatchRankDeadAndResumeSeeding(t *testing.T) {
 	}
 	time.Sleep(300 * time.Millisecond) // several sweeps over the dead lease
 	var deads []string
-	for _, a := range readJournalAlerts(t, journal) {
+	for _, a := range readJournal(t, journal).Alerts {
 		if a.Rule == watch.RuleRankDead {
 			deads = append(deads, a.ID)
 		}
