@@ -435,8 +435,15 @@ func (g *Graph) newSolverFor(n *Node) *smt.Solver {
 			g.Constraints++
 		}
 	}
-	// Pin requested inputs.
-	for name, v := range g.opts.Pin {
+	// Pin requested inputs, in name order so the query is the same on
+	// every run.
+	pins := make([]string, 0, len(g.opts.Pin))
+	for name := range g.opts.Pin {
+		pins = append(pins, name)
+	}
+	sort.Strings(pins)
+	for _, name := range pins {
+		v := g.opts.Pin[name]
 		pv := s.Var(InVar+name, v.Width())
 		s.Assert(smt.Eq(pv, ConstBV(v)))
 		g.Constraints++

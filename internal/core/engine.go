@@ -303,11 +303,15 @@ type Engine struct {
 
 	// checkpoints are keyed by (cluster graph index, node ID).
 	checkpoints map[[2]int]*checkpoint
-	prefix      []*uvm.Item
-	report      *Report
-	rng         *rand.Rand
-	vcdBuf      bytes.Buffer
-	vcdWriter   *vcd.Writer
+	// ckTaken[gi][node] marks the keys of checkpoints: the check
+	// maybeCheckpoint makes for every cluster on every vector, as a
+	// dense index instead of a hashed lookup.
+	ckTaken   [][]bool
+	prefix    []*uvm.Item
+	report    *Report
+	rng       *rand.Rand
+	vcdBuf    bytes.Buffer
+	vcdWriter *vcd.Writer
 
 	// obs is the telemetry sink; nil disables (all call sites are
 	// nil-safe).
@@ -384,6 +388,10 @@ func New(d *elab.Design, properties []*props.Property, c Config) (*Engine, error
 		obs:         c.Obs,
 		prof:        c.Prof,
 		shardAll:    true,
+		ckTaken:     make([][]bool, len(part.Graphs)),
+	}
+	for gi, g := range part.Graphs {
+		e.ckTaken[gi] = make([]bool, len(g.Nodes))
 	}
 	env.Agent.Sequencer.Obs = c.Obs
 	if e.prof.Enabled() {
@@ -563,13 +571,11 @@ func (e *Engine) maybeCheckpoint() {
 	var snap *sim.Snapshot
 	for gi, g := range e.part.Graphs {
 		node := e.cover.PrevNode(gi)
-		if node < 0 {
+		if node < 0 || e.ckTaken[gi][node] {
 			continue
 		}
+		e.ckTaken[gi][node] = true
 		key := [2]int{gi, node}
-		if _, ok := e.checkpoints[key]; ok {
-			continue
-		}
 		ck := &checkpoint{graph: gi, node: node, prefix: append([]*uvm.Item(nil), e.prefix...)}
 		var snapBytes int64
 		if e.cfgc.UseSnapshots {
@@ -1086,15 +1092,18 @@ func (e *Engine) rollback(ck *checkpoint) {
 // applyPlan drives the solved stimulus vector directly, reporting
 // whether the targeted edge was exercised.
 func (e *Engine) applyPlan(gi int, plan *cfg.StepPlan, edge cfg.Edge) bool {
-	seq := e.env.Agent.Sequencer
-	it := &uvm.Item{Fields: map[string]logic.BV{}, Hold: 1}
-	for _, f := range seq.Fields {
+	fields := e.env.Agent.Sequencer.Fields
+	names := make([]string, len(fields))
+	vals := make([]logic.BV, len(fields))
+	for i, f := range fields {
+		names[i] = f.Name
 		if v, ok := plan.Inputs[f.Name]; ok {
-			it.Fields[f.Name] = v.Resize(f.Width)
+			vals[i] = v.Resize(f.Width)
 		} else {
-			it.Fields[f.Name] = logic.Zero(f.Width)
+			vals[i] = logic.Zero(f.Width)
 		}
 	}
+	it := uvm.NewItem(names, vals)
 	if err := e.env.Agent.Driver.Apply(it); err != nil {
 		return false
 	}

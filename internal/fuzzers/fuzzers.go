@@ -165,10 +165,7 @@ func (g *greybox) Run() (*Result, error) {
 	newSequence := func() []*uvm.Item {
 		if len(corpus) > 0 && rng.Float64() < g.mutateBias {
 			parent := pickParent()
-			child := make([]*uvm.Item, len(parent))
-			for i, it := range parent {
-				child[i] = it.Clone()
-			}
+			child := append([]*uvm.Item(nil), parent...)
 			if rng.Float64() < 0.3 && len(child) >= 4 {
 				// Havoc splice: duplicate a span of the test over a
 				// later window, the block-copy mutation AFL-family
@@ -178,7 +175,7 @@ func (g *greybox) Run() (*Result, error) {
 				span := 1 + rng.Intn(len(child)-start-1)
 				dst := start + span
 				for i := 0; i < span && dst+i < len(child); i++ {
-					child[dst+i] = child[start+i].Clone()
+					child[dst+i] = child[start+i]
 				}
 			} else {
 				for k := 1 + rng.Intn(4); k > 0; k-- {

@@ -44,8 +44,14 @@ func (b Bit) IsKnown() bool { return b == L0 || b == L1 }
 const wordBits = 64
 
 // BV is a four-state bit-vector of fixed width. The zero value is an
-// invalid vector; use the constructors. Vectors are immutable: all
-// operations return fresh vectors.
+// invalid vector; use the constructors.
+//
+// Vectors are immutable, and the package relies on it: a BV handed out
+// is never written again, by this package or by anyone holding its
+// Words. That lets operators share results instead of allocating them
+// (every 1-bit comparison and logical result is one of three package
+// constants, and an operation that does not change a vector returns it
+// as is) and lets a Slab carve many vectors from one word array.
 type BV struct {
 	width int
 	a     []uint64 // value plane
@@ -72,10 +78,21 @@ func (v BV) mask() BV {
 	return v
 }
 
+// newRaw returns a zeroed vector whose two planes share one backing
+// array, so building a vector costs one allocation.
 func newRaw(width int) BV {
 	n := words(width)
-	return BV{width: width, a: make([]uint64, n), b: make([]uint64, n)}
+	w := make([]uint64, 2*n)
+	return BV{width: width, a: w[:n:n], b: w[n:]}
 }
+
+// The shared 1-bit results. Being immutable, one copy of each serves
+// every comparison, reduction and logical operator.
+var (
+	bit0 = Zero(1)
+	bit1 = Ones(1)
+	bitX = X(1)
+)
 
 // X returns a vector of the given width with every bit unknown, the
 // power-on state of an uninitialized register in four-state simulation.
@@ -122,7 +139,7 @@ func FromUint64(width int, val uint64) BV {
 func FromBits(bs ...Bit) BV {
 	v := newRaw(len(bs))
 	for i, b := range bs {
-		v = v.WithBit(i, b)
+		v.setBit(i, b)
 	}
 	return v
 }
@@ -149,7 +166,7 @@ func FromString(s string) (BV, error) {
 		default:
 			return BV{}, fmt.Errorf("logic: invalid bit character %q", s[i])
 		}
-		v = v.WithBit(len(s)-1-i, bit)
+		v.setBit(len(s)-1-i, bit)
 	}
 	return v, nil
 }
@@ -194,23 +211,29 @@ func (v BV) WithBit(i int, bit Bit) BV {
 		return v
 	}
 	out := v.clone()
-	w, s := i/wordBits, uint(i)%wordBits
-	out.a[w] &^= 1 << s
-	out.b[w] &^= 1 << s
-	switch bit {
-	case L1:
-		out.a[w] |= 1 << s
-	case LZ:
-		out.b[w] |= 1 << s
-	case LX:
-		out.a[w] |= 1 << s
-		out.b[w] |= 1 << s
-	}
+	out.setBit(i, bit)
 	return out
 }
 
+// setBit writes bit i in place. Only for a vector still being built,
+// before it is handed out.
+func (v BV) setBit(i int, bit Bit) {
+	w, s := i/wordBits, uint(i)%wordBits
+	v.a[w] &^= 1 << s
+	v.b[w] &^= 1 << s
+	switch bit {
+	case L1:
+		v.a[w] |= 1 << s
+	case LZ:
+		v.b[w] |= 1 << s
+	case LX:
+		v.a[w] |= 1 << s
+		v.b[w] |= 1 << s
+	}
+}
+
 func (v BV) clone() BV {
-	out := BV{width: v.width, a: make([]uint64, len(v.a)), b: make([]uint64, len(v.b))}
+	out := newRaw(v.width)
 	copy(out.a, v.a)
 	copy(out.b, v.b)
 	return out
@@ -388,11 +411,11 @@ func (v BV) ReduceAnd() BV {
 	}
 	switch {
 	case anyZero:
-		return Zero(1)
+		return bit0
 	case anyUnk:
-		return X(1)
+		return bitX
 	default:
-		return Ones(1)
+		return bit1
 	}
 }
 
@@ -409,27 +432,27 @@ func (v BV) ReduceOr() BV {
 	}
 	switch {
 	case anyOne:
-		return Ones(1)
+		return bit1
 	case anyUnk:
-		return X(1)
+		return bitX
 	default:
-		return Zero(1)
+		return bit0
 	}
 }
 
 // ReduceXor returns the 1-bit XOR (parity) of all bits; X if any unknown.
 func (v BV) ReduceXor() BV {
 	if v.HasUnknown() {
-		return X(1)
+		return bitX
 	}
 	parity := 0
 	for _, w := range v.a {
 		parity ^= bits.OnesCount64(w) & 1
 	}
 	if parity == 1 {
-		return Ones(1)
+		return bit1
 	}
-	return Zero(1)
+	return bit0
 }
 
 // ---- logical (truthiness) operators ----
@@ -459,11 +482,11 @@ func (v BV) Truthy() Bit {
 func bitToBV(b Bit) BV {
 	switch b {
 	case L1:
-		return Ones(1)
+		return bit1
 	case L0:
-		return Zero(1)
+		return bit0
 	default:
-		return X(1)
+		return bitX
 	}
 }
 
@@ -471,11 +494,11 @@ func bitToBV(b Bit) BV {
 func (v BV) LogicalNot() BV {
 	switch v.Truthy() {
 	case L1:
-		return Zero(1)
+		return bit0
 	case L0:
-		return Ones(1)
+		return bit1
 	default:
-		return X(1)
+		return bitX
 	}
 }
 
@@ -484,11 +507,11 @@ func (v BV) LogicalAnd(o BV) BV {
 	x, y := v.Truthy(), o.Truthy()
 	switch {
 	case x == L0 || y == L0:
-		return Zero(1)
+		return bit0
 	case x == L1 && y == L1:
-		return Ones(1)
+		return bit1
 	default:
-		return X(1)
+		return bitX
 	}
 }
 
@@ -497,11 +520,11 @@ func (v BV) LogicalOr(o BV) BV {
 	x, y := v.Truthy(), o.Truthy()
 	switch {
 	case x == L1 || y == L1:
-		return Ones(1)
+		return bit1
 	case x == L0 && y == L0:
-		return Zero(1)
+		return bit0
 	default:
-		return X(1)
+		return bitX
 	}
 }
 
@@ -584,7 +607,7 @@ func (v BV) cmp(o BV) int {
 func (v BV) Eq(o BV) BV {
 	checkSameWidth(v, o)
 	if v.HasUnknown() || o.HasUnknown() {
-		return X(1)
+		return bitX
 	}
 	return bitToBV(boolBit(v.cmp(o) == 0))
 }
@@ -596,7 +619,7 @@ func (v BV) Neq(o BV) BV { return v.Eq(o).LogicalNot() }
 func (v BV) Lt(o BV) BV {
 	checkSameWidth(v, o)
 	if v.HasUnknown() || o.HasUnknown() {
-		return X(1)
+		return bitX
 	}
 	return bitToBV(boolBit(v.cmp(o) < 0))
 }
@@ -605,7 +628,7 @@ func (v BV) Lt(o BV) BV {
 func (v BV) Le(o BV) BV {
 	checkSameWidth(v, o)
 	if v.HasUnknown() || o.HasUnknown() {
-		return X(1)
+		return bitX
 	}
 	return bitToBV(boolBit(v.cmp(o) <= 0))
 }
@@ -692,7 +715,7 @@ func (v BV) Extract(hi, lo int) BV {
 		if src >= 0 && src < v.width {
 			bit = v.Bit(src)
 		}
-		out = out.WithBit(i, bit)
+		out.setBit(i, bit)
 	}
 	return out
 }
@@ -701,10 +724,10 @@ func (v BV) Extract(hi, lo int) BV {
 func (v BV) Concat(o BV) BV {
 	out := newRaw(v.width + o.width)
 	for i := 0; i < o.width; i++ {
-		out = out.WithBit(i, o.Bit(i))
+		out.setBit(i, o.Bit(i))
 	}
 	for i := 0; i < v.width; i++ {
-		out = out.WithBit(o.width+i, v.Bit(i))
+		out.setBit(o.width+i, v.Bit(i))
 	}
 	return out
 }
@@ -741,7 +764,7 @@ func (v BV) SignExtend(width int) BV {
 	msb := v.Bit(v.width - 1)
 	out := v.Resize(width)
 	for i := v.width; i < width; i++ {
-		out = out.WithBit(i, msb)
+		out.setBit(i, msb)
 	}
 	return out
 }
@@ -790,6 +813,39 @@ func (v BV) Words() (a, b []uint64) { return v.a, v.b }
 // Rand returns a fully defined random vector using the given source.
 func Rand(width int, next func() uint64) BV {
 	out := newRaw(width)
+	for i := range out.a {
+		out.a[i] = next()
+	}
+	return out.mask()
+}
+
+// slabChunk is how many words a Slab allocates at a time.
+const slabChunk = 4096
+
+// Slab carves vectors out of chunked word arrays: one allocation per
+// chunk instead of one per vector, for callers that build vectors at a
+// steady rate and keep them (the stimulus sequencer). The words of a
+// vector it returns are written once, while it is built, and never
+// handed out again, so its vectors are as immutable as any other. The
+// zero Slab is ready to use; it is not safe for concurrent use.
+type Slab struct {
+	free []uint64
+}
+
+func (s *Slab) raw(width int) BV {
+	n := words(width)
+	if len(s.free) < 2*n {
+		s.free = make([]uint64, max(slabChunk, 2*n))
+	}
+	w := s.free[: 2*n : 2*n]
+	s.free = s.free[2*n:]
+	return BV{width: width, a: w[:n:n], b: w[n:]}
+}
+
+// Rand is the package Rand with the vector carved from the slab; it
+// draws from next exactly as Rand does.
+func (s *Slab) Rand(width int, next func() uint64) BV {
+	out := s.raw(width)
 	for i := range out.a {
 		out.a[i] = next()
 	}

@@ -33,6 +33,16 @@ func ParseExpr(src string) (Expr, error) {
 	return e, nil
 }
 
+// Bounds on what property text may ask for, so a malformed or hostile
+// -prop is an error instead of an allocation the size of the number it
+// spells: literal widths and bit-select indices stay below
+// maxPropWidth, $past depths at or below maxPastDepth (every tracked
+// signal keeps a ring that deep).
+const (
+	maxPropWidth = 1 << 12
+	maxPastDepth = 1 << 10
+)
+
 // MustParseExpr is ParseExpr that panics on error.
 func MustParseExpr(src string) Expr {
 	e, err := ParseExpr(src)
@@ -323,6 +333,9 @@ func (p *propParser) parseSelects(e Expr) (Expr, error) {
 		if err := p.expectOp("]"); err != nil {
 			return nil, err
 		}
+		if hi < lo || hi >= maxPropWidth {
+			return nil, fmt.Errorf("props: bit select [%d:%d] needs lo <= hi < %d", hi, lo, maxPropWidth)
+		}
 		e = Slice(e, hi, lo)
 	}
 	return e, nil
@@ -343,8 +356,8 @@ func (p *propParser) parseSysCall(t propTok) (Expr, error) {
 			nt := p.next()
 			var err error
 			n, err = strconv.Atoi(nt.text)
-			if err != nil {
-				return nil, fmt.Errorf("props: $past depth %q invalid", nt.text)
+			if err != nil || n > maxPastDepth {
+				return nil, fmt.Errorf("props: $past depth %q invalid (at most %d)", nt.text, maxPastDepth)
 			}
 		}
 		if err := p.expectOp(")"); err != nil {
@@ -405,15 +418,15 @@ func parsePropNumber(text string) (logic.BV, error) {
 		return logic.FromUint64(64, v), nil
 	}
 	width, err := strconv.Atoi(text[:ap])
-	if err != nil || width <= 0 {
+	if err != nil || width <= 0 || width >= maxPropWidth || len(text) > maxPropWidth {
 		return logic.BV{}, fmt.Errorf("invalid literal size in %q", text)
 	}
 	rest := text[ap+1:]
+	if rest != "" && (rest[0] == 's' || rest[0] == 'S') {
+		rest = rest[1:]
+	}
 	if rest == "" {
 		return logic.BV{}, fmt.Errorf("missing base in %q", text)
-	}
-	if rest[0] == 's' || rest[0] == 'S' {
-		rest = rest[1:]
 	}
 	base, digits := rest[0], rest[1:]
 	var bits string

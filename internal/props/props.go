@@ -9,6 +9,7 @@ package props
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/logic"
@@ -336,31 +337,44 @@ type Violation struct {
 //
 // History is stored as word copies of each signal's planes, read with
 // sim.DUV.Words into preallocated rings, so pushing a cycle's values
-// allocates nothing however many signals are tracked; PastVal builds a
-// logic.BV only when a $past or $stable reads one. Signal names are
-// resolved to indices once per Bind.
+// allocates nothing however many signals are tracked. Properties are
+// compiled once per Bind (see compile) into closures over those words
+// and the DUV's own, so a Sample in which no property fires allocates
+// nothing either. Signal names are resolved to indices at the same
+// time.
 type Checker struct {
 	props      []*Property
+	group      []int          // per property: index of the first property with its name
+	fired      []bool         // per group: a property of that name has fired
+	compiled   []compiledProp // per property, valid while resolved
 	hist       []history      // one ring per history-tracked signal
 	histIdx    map[string]int // signal name -> index into hist
 	histLen    int            // ring length: the deepest need of any signal
 	histPos    int
 	histFilled int
-	resolved   bool // hist matches sim and histLen
+	resolved   bool // hist and compiled match sim and histLen
 	sim        sim.DUV
 	violations []Violation
 	// FirstOnly reports each property at most once.
 	FirstOnly bool
-	seen      map[string]bool
+}
+
+// compiledProp is one property lowered by compile.
+type compiledProp struct {
+	expr, disable evalFn // disable is nil without a DisableIff
 }
 
 // history is one signal's ring: histLen slots of nw words per plane.
+// cur and slots cache the logic.BV that Val and PastVal last returned
+// for the live value and for each slot, reused while the words match.
 type history struct {
 	name  string
 	sig   int // -1: unknown signal, which always reads as X
 	width int
 	nw    int
 	a, b  []uint64
+	cur   logic.BV
+	slots []logic.BV
 }
 
 // NewChecker builds a checker over the given properties.
@@ -369,7 +383,6 @@ func NewChecker(properties ...*Property) *Checker {
 		histIdx:   map[string]int{},
 		histLen:   2,
 		FirstOnly: true,
-		seen:      map[string]bool{},
 	}
 	for _, p := range properties {
 		c.AddProperty(p)
@@ -379,7 +392,16 @@ func NewChecker(properties ...*Property) *Checker {
 
 // AddProperty registers another property.
 func (c *Checker) AddProperty(p *Property) {
+	g := len(c.props)
+	for i, q := range c.props {
+		if q.Name == p.Name {
+			g = c.group[i]
+			break
+		}
+	}
 	c.props = append(c.props, p)
+	c.group = append(c.group, g)
+	c.fired = append(c.fired, false)
 	set := map[string]int{}
 	p.Expr.Signals(set)
 	if p.DisableIff != nil {
@@ -418,8 +440,8 @@ func (c *Checker) Bind(s sim.DUV) {
 	s.OnCycle(func(sim.DUV) { c.Sample() })
 }
 
-// resolve looks up every tracked signal in the bound DUV and sizes its
-// ring to the current depth.
+// resolve looks up every tracked signal in the bound DUV, sizes its
+// ring to the current depth and compiles the properties against them.
 func (c *Checker) resolve() {
 	for i := range c.hist {
 		h := &c.hist[i]
@@ -432,22 +454,48 @@ func (c *Checker) resolve() {
 		if n := c.histLen * h.nw; len(h.a) != n {
 			h.a, h.b = make([]uint64, n), make([]uint64, n)
 		}
+		h.cur, h.slots = logic.BV{}, make([]logic.BV, c.histLen)
+	}
+	c.compiled = make([]compiledProp, len(c.props))
+	for i, p := range c.props {
+		c.compiled[i].expr = c.compile(p.Expr)
+		if p.DisableIff != nil {
+			c.compiled[i].disable = c.compile(p.DisableIff)
+		}
 	}
 	c.resolved = true
 }
 
+// slot returns the ring slot written n samples ago (n >= 1).
+func (c *Checker) slot(n int) int {
+	L := c.histLen
+	return ((c.histPos-(n-1))%L + L) % L
+}
+
+// reuse returns *v when it holds exactly the given words, and
+// otherwise replaces it with a fresh vector of them.
+func reuse(v *logic.BV, width int, a, b []uint64) logic.BV {
+	if va, vb := v.Words(); !v.Valid() || !slices.Equal(va, a) || !slices.Equal(vb, b) {
+		*v = logic.FromWords(width, a, b)
+	}
+	return *v
+}
+
 // Val implements Ctx.
 func (c *Checker) Val(name string) logic.BV {
-	var idx int
-	if i, ok := c.histIdx[name]; ok && c.resolved {
-		idx = c.hist[i].sig
-	} else {
-		idx = c.sim.SignalIndex(name)
-	}
-	if idx < 0 {
+	i, ok := c.histIdx[name]
+	if !ok || !c.resolved {
+		if idx := c.sim.SignalIndex(name); idx >= 0 {
+			return c.sim.Get(idx)
+		}
 		return logic.X(1)
 	}
-	return c.sim.Get(idx)
+	h := &c.hist[i]
+	if h.sig < 0 {
+		return logic.X(1)
+	}
+	a, b := c.sim.Words(h.sig)
+	return reuse(&h.cur, h.width, a, b)
 }
 
 // PastVal implements Ctx. PastVal(name, 1) is the value at the previous
@@ -461,9 +509,9 @@ func (c *Checker) PastVal(name string, n int) logic.BV {
 	if h.sig < 0 {
 		return logic.X(1)
 	}
-	L := c.histLen
-	off := (((c.histPos-(n-1))%L + L) % L) * h.nw
-	return logic.FromWords(h.width, h.a[off:off+h.nw], h.b[off:off+h.nw])
+	k := c.slot(n)
+	off := k * h.nw
+	return reuse(&h.slots[k], h.width, h.a[off:off+h.nw], h.b[off:off+h.nw])
 }
 
 // Cycle implements Ctx.
@@ -480,21 +528,22 @@ func (c *Checker) Sample() {
 	if !c.resolved {
 		c.resolve()
 	}
-	for _, p := range c.props {
-		if c.FirstOnly && c.seen[p.Name] {
+	for i, p := range c.props {
+		if c.FirstOnly && c.fired[c.group[i]] {
 			continue
 		}
-		if p.DisableIff != nil && p.DisableIff.Eval(c).Truthy() == logic.L1 {
+		cp := &c.compiled[i]
+		if cp.disable != nil && cp.disable().truthy() == logic.L1 {
 			continue
 		}
-		if p.Expr.Eval(c).Truthy() == logic.L0 {
+		if cp.expr().truthy() == logic.L0 {
 			c.violations = append(c.violations, Violation{
 				Property: p.Name,
 				CWE:      p.CWE,
 				Cycle:    c.Cycle(),
 				Detail:   p.Expr.String(),
 			})
-			c.seen[p.Name] = true
+			c.fired[c.group[i]] = true
 		}
 	}
 	// Push current values into the rings.
@@ -523,7 +572,7 @@ func (c *Checker) Violations() []Violation { return c.violations }
 func (c *Checker) Reset() {
 	c.violations = nil
 	c.histFilled = 0
-	c.seen = map[string]bool{}
+	clear(c.fired)
 }
 
 // ResetHistory clears only sampled history, keeping found violations.

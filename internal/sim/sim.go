@@ -40,8 +40,12 @@ type Simulator struct {
 	seqBySig  [][]int // signal index -> seq process indices
 
 	queued    []bool // comb process queued
-	queue     []int
+	queue     []int  // FIFO of comb processes, popped at qhead
+	qhead     int
 	pendEdges []pendingEdge
+	edgeSpare []pendingEdge // the other pendEdges buffer, swapped per batch
+	firedAt   []uint32      // per process: epoch of the edge batch that last ran it
+	epoch     uint32
 	nba       []nbaEntry
 	nbaMem    []nbaMemEntry
 
@@ -87,6 +91,7 @@ func New(d *elab.Design) (*Simulator, error) {
 		combByMem: make([][]int, len(d.Memories)),
 		seqBySig:  make([][]int, len(d.Signals)),
 		queued:    make([]bool, len(d.Procs)),
+		firedAt:   make([]uint32, len(d.Procs)),
 	}
 	for i, sig := range d.Signals {
 		if sig.Init != nil {
@@ -294,9 +299,9 @@ func (s *Simulator) Settle() error {
 	steps := 0
 	for {
 		// Combinational fixpoint.
-		for len(s.queue) > 0 {
-			pi := s.queue[0]
-			s.queue = s.queue[1:]
+		for s.qhead < len(s.queue) {
+			pi := s.queue[s.qhead]
+			s.qhead++
 			s.queued[pi] = false
 			s.execProc(pi)
 			steps++
@@ -304,21 +309,27 @@ func (s *Simulator) Settle() error {
 				return fmt.Errorf("%w (process %s)", ErrCombLoop, s.d.Procs[pi].Name)
 			}
 		}
+		s.queue, s.qhead = s.queue[:0], 0
 		if len(s.pendEdges) == 0 {
 			return nil
 		}
 		// Fire triggered sequential processes: evaluate all bodies
 		// (collecting NBA writes), then commit the writes.
 		edges := s.pendEdges
-		s.pendEdges = nil
-		seen := map[int]bool{}
+		s.pendEdges = s.edgeSpare[:0]
+		s.epoch++
+		if s.epoch == 0 {
+			clear(s.firedAt)
+			s.epoch = 1
+		}
 		for _, e := range edges {
-			if seen[e.proc] {
+			if s.firedAt[e.proc] == s.epoch {
 				continue
 			}
-			seen[e.proc] = true
+			s.firedAt[e.proc] = s.epoch
 			s.execProc(e.proc)
 		}
+		s.edgeSpare = edges[:0]
 		nba := s.nba
 		s.nba = s.nba[:0]
 		for _, w := range nba {
@@ -455,13 +466,14 @@ func resolveAlias(alias map[int]int, sig int) int {
 // to find the primary clock and reset, building the reset tree the paper
 // extracts for deterministic test execution. Child-instance clock pins
 // resolve through their connection chain to the top-level root, so the
-// whole tree toggles together.
+// whole tree toggles together. Ties go to the lowest signal index, so
+// the result depends only on the design.
 func DetectClockReset(d *elab.Design) ResetInfo {
 	info := ResetInfo{Clock: -1, Reset: -1}
 	alias := aliasMap(d)
-	posCount := map[int]int{}
-	negCount := map[int]int{}
-	inTree := map[int]bool{}
+	posCount := make([]int, len(d.Signals))
+	negCount := make([]int, len(d.Signals))
+	inTree := make([]bool, len(d.Signals))
 	for _, p := range d.Procs {
 		if p.Kind != elab.ProcSeq {
 			continue
@@ -476,8 +488,10 @@ func DetectClockReset(d *elab.Design) ResetInfo {
 			}
 		}
 	}
-	for idx := range inTree {
-		info.Tree = append(info.Tree, idx)
+	for idx, in := range inTree {
+		if in {
+			info.Tree = append(info.Tree, idx)
+		}
 	}
 	looksReset := func(name string) bool {
 		n := strings.ToLower(name)
@@ -485,7 +499,7 @@ func DetectClockReset(d *elab.Design) ResetInfo {
 	}
 	best := -1
 	for idx, c := range posCount {
-		if looksReset(d.Signals[idx].Name) {
+		if c == 0 || looksReset(d.Signals[idx].Name) {
 			continue
 		}
 		if best == -1 || c > posCount[best] {
@@ -497,7 +511,7 @@ func DetectClockReset(d *elab.Design) ResetInfo {
 	// with a reset-like name.
 	bestNeg := -1
 	for idx, c := range negCount {
-		if bestNeg == -1 || c > negCount[bestNeg] {
+		if c > 0 && (bestNeg == -1 || c > negCount[bestNeg]) {
 			bestNeg = idx
 		}
 	}
@@ -506,8 +520,8 @@ func DetectClockReset(d *elab.Design) ResetInfo {
 		info.ActiveLow = true
 		return info
 	}
-	for idx := range posCount {
-		if looksReset(d.Signals[idx].Name) {
+	for idx, c := range posCount {
+		if c > 0 && looksReset(d.Signals[idx].Name) {
 			info.Reset = idx
 			info.ActiveLow = false
 			return info
@@ -581,7 +595,7 @@ func (s *Simulator) Restore(snap *Snapshot) {
 		copy(s.mems[i], snap.Mems[i])
 	}
 	s.cycle = snap.Cycle
-	s.queue = s.queue[:0]
+	s.queue, s.qhead = s.queue[:0], 0
 	for i := range s.queued {
 		s.queued[i] = false
 	}

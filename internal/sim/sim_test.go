@@ -516,6 +516,37 @@ endmodule`
 	}
 }
 
+// TestDetectClockResetTiesDeterministic pins tie-breaking: two clocks
+// and two active-low resets that each drive one process tie on every
+// count, and the detection must pick the lowest signal index every
+// time, with the reset tree in ascending order.
+func TestDetectClockResetTiesDeterministic(t *testing.T) {
+	src := `
+module tie (input clk_a, input clk_b, input rst_a_ni, input rst_b_ni,
+            output reg ca, output reg cb);
+  always_ff @(posedge clk_a or negedge rst_a_ni) begin
+    if (!rst_a_ni) ca <= 1'b0;
+    else ca <= ~ca;
+  end
+  always_ff @(posedge clk_b or negedge rst_b_ni) begin
+    if (!rst_b_ni) cb <= 1'b0;
+    else cb <= ~cb;
+  end
+endmodule`
+	d := elaborate(t, src, "tie")
+	idx := func(name string) int { return d.ByName[name].Index }
+	want := ResetInfo{Clock: idx("clk_a"), Reset: idx("rst_a_ni"), ActiveLow: true,
+		Tree: []int{idx("clk_a"), idx("clk_b"), idx("rst_a_ni"), idx("rst_b_ni")}}
+	slices.Sort(want.Tree)
+	for i := 0; i < 200; i++ {
+		got := DetectClockReset(d)
+		if got.Clock != want.Clock || got.Reset != want.Reset || got.ActiveLow != want.ActiveLow ||
+			!slices.Equal(got.Tree, want.Tree) {
+			t.Fatalf("call %d: got %+v, want %+v", i, got, want)
+		}
+	}
+}
+
 func TestPokePeekErrors(t *testing.T) {
 	s := newSim(t, counterSrc, "counter")
 	if err := s.Poke("missing", logic.Zero(1)); err == nil {

@@ -60,8 +60,12 @@ type Machine struct {
 	seqBySig  [][]int
 
 	queued    []bool
-	queue     []int
+	queue     []int // FIFO of comb processes, popped at qhead
+	qhead     int
 	pendEdges []pendingEdge
+	edgeSpare []pendingEdge // the other pendEdges buffer, swapped per batch
+	firedAt   []uint32      // per process: epoch of the edge batch that last ran it
+	epoch     uint32
 	nbaSig    []nbaSlot
 	nbaA      []uint64
 	nbaB      []uint64
@@ -98,6 +102,7 @@ func New(d *elab.Design) (*Machine, error) {
 		combByMem: make([][]int, len(d.Memories)),
 		seqBySig:  make([][]int, len(d.Signals)),
 		queued:    make([]bool, len(d.Procs)),
+		firedAt:   make([]uint32, len(d.Procs)),
 	}
 	// Lay out the arena and initialize: declaration initializer when
 	// present, all-X otherwise.
@@ -351,9 +356,9 @@ func (m *Machine) Settle() error {
 	limit := 64 * (len(m.d.Procs) + 16)
 	steps := 0
 	for {
-		for len(m.queue) > 0 {
-			pi := m.queue[0]
-			m.queue = m.queue[1:]
+		for m.qhead < len(m.queue) {
+			pi := m.queue[m.qhead]
+			m.qhead++
 			m.queued[pi] = false
 			m.execProc(pi)
 			steps++
@@ -361,19 +366,25 @@ func (m *Machine) Settle() error {
 				return fmt.Errorf("%w (process %s)", sim.ErrCombLoop, m.d.Procs[pi].Name)
 			}
 		}
+		m.queue, m.qhead = m.queue[:0], 0
 		if len(m.pendEdges) == 0 {
 			return nil
 		}
 		edges := m.pendEdges
-		m.pendEdges = nil
-		seen := map[int]bool{}
+		m.pendEdges = m.edgeSpare[:0]
+		m.epoch++
+		if m.epoch == 0 {
+			clear(m.firedAt)
+			m.epoch = 1
+		}
 		for _, e := range edges {
-			if seen[e.proc] {
+			if m.firedAt[e.proc] == m.epoch {
 				continue
 			}
-			seen[e.proc] = true
+			m.firedAt[e.proc] = m.epoch
 			m.execProc(e.proc)
 		}
+		m.edgeSpare = edges[:0]
 		nba := m.nbaSig
 		m.nbaSig = m.nbaSig[:0]
 		for _, w := range nba {
@@ -487,7 +498,7 @@ func (m *Machine) Restore(snap *sim.Snapshot) {
 		copy(m.mems[i], snap.Mems[i])
 	}
 	m.cycle = snap.Cycle
-	m.queue = m.queue[:0]
+	m.queue, m.qhead = m.queue[:0], 0
 	for i := range m.queued {
 		m.queued[i] = false
 	}

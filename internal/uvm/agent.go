@@ -2,7 +2,7 @@ package uvm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/elab"
 	"repro/internal/logic"
@@ -19,6 +19,15 @@ type Driver struct {
 	Clock int // clock signal index, -1 for purely combinational DUVs
 	// fieldIdx maps item fields to input signal indices.
 	fieldIdx map[string]int
+	// The last item layout applied, resolved: for each field in
+	// application order, its position in the item and its input port.
+	lay   *layout
+	order []portField
+}
+
+// portField is one item field bound to the input port it drives.
+type portField struct {
+	pos, sig, width int
 }
 
 // NewDriver binds a driver to a DUV backend. Field-to-port mapping is
@@ -36,27 +45,39 @@ func NewDriver(name string, s sim.DUV, clock int) *Driver {
 	return d
 }
 
-// Apply drives one item: sets every mapped field, then runs Hold clock
-// cycles (or a single settle when the DUV has no clock).
+// resolve binds a layout's fields to input ports in application order.
+func (d *Driver) resolve(l *layout) error {
+	order := d.order[:0]
+	for _, i := range l.sorted {
+		idx, ok := d.fieldIdx[l.names[i]]
+		if !ok {
+			d.lay = nil
+			return fmt.Errorf("uvm: item field %q does not match an input port", l.names[i])
+		}
+		order = append(order, portField{pos: i, sig: idx, width: d.Sim.Design().Signals[idx].Width})
+	}
+	d.lay, d.order = l, order
+	return nil
+}
+
+// Apply drives one item: sets every field, then runs Hold clock cycles
+// (or a single settle when the DUV has no clock). An item naming a
+// field that is not an input port is rejected before any pin moves.
 //
 // Fields are applied in sorted name order: each Set re-evaluates the
 // dependent combinational cone, and the transient states seen mid-apply
-// feed the branch tracer — map order here would make the coverage
-// event stream (and with it the whole campaign) run-to-run
-// nondeterministic.
+// feed the branch tracer — any other order would change the coverage
+// event stream and with it the whole campaign. The order and the ports
+// are worked out once per item layout, and every item a sequencer
+// generates shares one.
 func (d *Driver) Apply(it *Item) error {
-	names := make([]string, 0, len(it.Fields))
-	for name := range it.Fields {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		idx, ok := d.fieldIdx[name]
-		if !ok {
-			return fmt.Errorf("uvm: item field %q does not match an input port", name)
+	if it.layout != d.lay {
+		if err := d.resolve(it.layout); err != nil {
+			return err
 		}
-		sig := d.Sim.Design().Signals[idx]
-		d.Sim.Set(idx, it.Fields[name].Resize(sig.Width))
+	}
+	for _, f := range d.order {
+		d.Sim.Set(f.sig, it.vals[f.pos].Resize(f.width))
 	}
 	if err := d.Sim.Settle(); err != nil {
 		return err
@@ -83,9 +104,17 @@ type Monitor struct {
 	BaseComponent
 	Sim     sim.DUV
 	Checker *props.Checker
-	// Observations holds the most recent output sample per port.
-	Observations map[string]logic.BV
-	board        *Scoreboard
+	outs    []outSample // one per output port, in declaration order
+	sampled bool
+	board   *Scoreboard
+}
+
+// outSample is the most recent sample of one output port, kept as word
+// copies; val caches its logic.BV while the words stay the same.
+type outSample struct {
+	sig  *elab.Signal
+	a, b []uint64
+	val  logic.BV
 }
 
 // NewMonitor builds a monitor with an optional property checker.
@@ -94,7 +123,10 @@ func NewMonitor(name string, s sim.DUV, chk *props.Checker) *Monitor {
 		BaseComponent: NewBaseComponent(name),
 		Sim:           s,
 		Checker:       chk,
-		Observations:  map[string]logic.BV{},
+	}
+	for _, out := range s.Design().OutputSignals() {
+		nw := (out.Width + 63) / 64
+		m.outs = append(m.outs, outSample{sig: out, a: make([]uint64, nw), b: make([]uint64, nw)})
 	}
 	if chk != nil {
 		chk.Bind(s)
@@ -104,13 +136,32 @@ func NewMonitor(name string, s sim.DUV, chk *props.Checker) *Monitor {
 }
 
 func (m *Monitor) sample() {
-	for _, out := range m.Sim.Design().OutputSignals() {
-		v := m.Sim.Get(out.Index)
-		m.Observations[out.Name] = v
+	m.sampled = true
+	for i := range m.outs {
+		o := &m.outs[i]
+		a, b := m.Sim.Words(o.sig.Index)
+		copy(o.a, a)
+		copy(o.b, b)
 		if m.board != nil {
-			m.board.Observe(out.Name, m.Sim.Cycle(), v)
+			m.board.observe(o.sig.Name, m.Sim.Cycle(), o.sig.Width, a, b)
 		}
 	}
+}
+
+// Observation returns the most recent sample of an output port; ok is
+// false for a name that is not an output or before the first cycle.
+func (m *Monitor) Observation(name string) (v logic.BV, ok bool) {
+	for i := range m.outs {
+		o := &m.outs[i]
+		if o.sig.Name != name {
+			continue
+		}
+		if va, vb := o.val.Words(); !o.val.Valid() || !slices.Equal(va, o.a) || !slices.Equal(vb, o.b) {
+			o.val = logic.FromWords(o.sig.Width, o.a, o.b)
+		}
+		return o.val, m.sampled
+	}
+	return logic.BV{}, false
 }
 
 // Violations returns property violations recorded so far.
@@ -130,16 +181,28 @@ type Observation struct {
 
 // Scoreboard accumulates monitor observations and optionally compares
 // them against a golden reference model (§5.5.3's extension to
-// manufacturing-fault detection).
+// manufacturing-fault detection). Observations are kept as word copies
+// in a ring whose slots are reused once it is full, so recording one
+// costs no allocation in the steady state.
 type Scoreboard struct {
 	BaseComponent
-	Observations []Observation
 	// Golden, when set, predicts the expected value of a signal at a
 	// cycle; mismatches (on fully defined values) are recorded.
 	Golden     func(signal string, cycle uint64) (logic.BV, bool)
 	Mismatches []Observation
-	// Cap bounds retained observations (ring semantics).
-	Cap int
+	// Cap bounds retained observations (ring semantics); 0 keeps all.
+	Cap  int
+	ring []obsSlot
+	next int // the oldest slot once the ring is full
+}
+
+// obsSlot is one retained observation: w holds the aval words, then
+// the bval words.
+type obsSlot struct {
+	signal string
+	cycle  uint64
+	width  int
+	w      []uint64
 }
 
 // NewScoreboard builds an empty scoreboard.
@@ -147,18 +210,35 @@ func NewScoreboard(name string) *Scoreboard {
 	return &Scoreboard{BaseComponent: NewBaseComponent(name), Cap: 4096}
 }
 
-// Observe records one output sample.
-func (s *Scoreboard) Observe(signal string, cycle uint64, v logic.BV) {
-	if s.Cap > 0 && len(s.Observations) >= s.Cap {
-		s.Observations = s.Observations[1:]
+// observe records one output sample.
+func (s *Scoreboard) observe(signal string, cycle uint64, width int, a, b []uint64) {
+	var slot *obsSlot
+	if s.Cap <= 0 || len(s.ring) < s.Cap {
+		s.ring = append(s.ring, obsSlot{})
+		slot = &s.ring[len(s.ring)-1]
+	} else {
+		slot = &s.ring[s.next]
+		s.next = (s.next + 1) % len(s.ring)
 	}
-	s.Observations = append(s.Observations, Observation{Signal: signal, Cycle: cycle, Value: v})
+	slot.signal, slot.cycle, slot.width = signal, cycle, width
+	slot.w = append(append(slot.w[:0], a...), b...)
 	if s.Golden != nil {
 		want, ok := s.Golden(signal, cycle)
-		if ok && v.IsFullyDefined() && want.IsFullyDefined() && !v.Eq4(want) {
+		if v := logic.FromWords(width, a, b); ok && v.IsFullyDefined() && want.IsFullyDefined() && !v.Eq4(want) {
 			s.Mismatches = append(s.Mismatches, Observation{Signal: signal, Cycle: cycle, Value: v})
 		}
 	}
+}
+
+// Observations returns the retained observations, oldest first.
+func (s *Scoreboard) Observations() []Observation {
+	out := make([]Observation, 0, len(s.ring))
+	for k := range s.ring {
+		o := &s.ring[(s.next+k)%len(s.ring)]
+		nw := len(o.w) / 2
+		out = append(out, Observation{Signal: o.signal, Cycle: o.cycle, Value: logic.FromWords(o.width, o.w[:nw], o.w[nw:])})
+	}
+	return out
 }
 
 // Agent bundles sequencer, driver and monitor (Figure 2, blocks 3-5).

@@ -12,6 +12,7 @@ package uvm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -91,32 +92,67 @@ type FieldSpec struct {
 	Width int
 }
 
-// Item is one transaction: a full assignment of the stimulus fields.
+// Item is one transaction: an assignment of stimulus fields. Its
+// values sit in a slice parallel to a field-name layout, in the order
+// the sequencer lists its fields; items a sequencer generates share one
+// layout. An item is immutable once built, and so are its values, so
+// items are shared freely (replay prefixes, corpora, pinned queues)
+// instead of copied.
 type Item struct {
-	Fields map[string]logic.BV
+	layout *layout
+	vals   []logic.BV // vals[i] is the value of field layout.names[i]
 	// Hold is how many cycles the driver keeps the item applied.
 	Hold int
 }
 
-// Clone deep-copies an item.
-func (it *Item) Clone() *Item {
-	out := &Item{Fields: make(map[string]logic.BV, len(it.Fields)), Hold: it.Hold}
-	for k, v := range it.Fields {
-		out.Fields[k] = v
+// layout is the field-name list items are built over, with the
+// driver's application order worked out once.
+type layout struct {
+	names  []string
+	sorted []int // positions of names in ascending name order
+}
+
+func newLayout(names []string) *layout {
+	l := &layout{names: names, sorted: make([]int, len(names))}
+	for i := range l.sorted {
+		l.sorted[i] = i
 	}
-	return out
+	sort.Slice(l.sorted, func(i, j int) bool { return names[l.sorted[i]] < names[l.sorted[j]] })
+	return l
+}
+
+// NewItem builds an item, held for one cycle, that assigns vals[i] to
+// the field names[i]. Names must be distinct and the slices the same
+// length; both are copied.
+func NewItem(names []string, vals []logic.BV) *Item {
+	if len(names) != len(vals) {
+		panic(fmt.Sprintf("uvm: NewItem with %d names and %d values", len(names), len(vals)))
+	}
+	l := newLayout(append([]string(nil), names...))
+	for k := 1; k < len(l.sorted); k++ {
+		if names[l.sorted[k]] == names[l.sorted[k-1]] {
+			panic(fmt.Sprintf("uvm: NewItem names field %q twice", names[l.sorted[k]]))
+		}
+	}
+	return &Item{layout: l, vals: append([]logic.BV(nil), vals...), Hold: 1}
+}
+
+// Value returns the value the item assigns to a field, and whether it
+// assigns one.
+func (it *Item) Value(name string) (logic.BV, bool) {
+	for i, n := range it.layout.names {
+		if n == name {
+			return it.vals[i], true
+		}
+	}
+	return logic.BV{}, false
 }
 
 // Key returns a deterministic content key for corpus deduplication.
 func (it *Item) Key() string {
-	names := make([]string, 0, len(it.Fields))
-	for k := range it.Fields {
-		names = append(names, k)
-	}
-	sort.Strings(names)
 	s := ""
-	for _, n := range names {
-		s += n + "=" + it.Fields[n].Key() + ";"
+	for _, i := range it.layout.sorted {
+		s += it.layout.names[i] + "=" + it.vals[i].Key() + ";"
 	}
 	return s
 }
@@ -131,10 +167,20 @@ type Constraint func(vars map[string]*smt.Term) *smt.Term
 // replay and solver-directed steering).
 type Sequencer struct {
 	BaseComponent
+	// Fields are the stimulus fields, in generation order; read-only
+	// after construction.
 	Fields      []FieldSpec
+	layout      *layout // over Fields
 	rng         *rand.Rand
 	constraints []Constraint
-	pinned      []*Item // exact next items, FIFO
+	pinned      []*Item // exact next items, FIFO from pinHead
+	pinHead     int
+	// Generated items are carved from chunks: their values' words from
+	// slab, the value slices from vals, the items from items. Each is
+	// written once, when the item is built.
+	slab  logic.Slab
+	vals  []logic.BV
+	items []Item
 	// Generated counts items produced (the "# of input vectors" metric).
 	Generated uint64
 	// Obs receives item-generation telemetry (seq_items counter and
@@ -144,11 +190,42 @@ type Sequencer struct {
 
 // NewSequencer builds a sequencer over the given fields.
 func NewSequencer(name string, fields []FieldSpec, seed int64) *Sequencer {
+	names := make([]string, len(fields))
+	for i, f := range fields {
+		names[i] = f.Name
+	}
 	return &Sequencer{
 		BaseComponent: NewBaseComponent(name),
 		Fields:        fields,
+		layout:        newLayout(names),
 		rng:           rand.New(rand.NewSource(seed)),
 	}
+}
+
+// itemChunk is how many items, and how many items' worth of values, a
+// sequencer allocates at a time.
+const itemChunk = 256
+
+// newVals returns an empty value slice for one item over Fields.
+func (s *Sequencer) newVals() []logic.BV {
+	n := len(s.Fields)
+	if len(s.vals) < n {
+		s.vals = make([]logic.BV, itemChunk*n)
+	}
+	v := s.vals[:n:n]
+	s.vals = s.vals[n:]
+	return v
+}
+
+// item builds a generated item over Fields from values in Fields order.
+func (s *Sequencer) item(vals []logic.BV) *Item {
+	if len(s.items) == 0 {
+		s.items = make([]Item, itemChunk)
+	}
+	it := &s.items[0]
+	s.items = s.items[1:]
+	*it = Item{layout: s.layout, vals: vals, Hold: 1}
+	return it
 }
 
 // SequencerForDesign derives the stimulus fields from a design's input
@@ -172,21 +249,28 @@ func (s *Sequencer) AddConstraint(c Constraint) { s.constraints = append(s.const
 func (s *Sequencer) ClearConstraints() { s.constraints = nil }
 
 // PinNext enqueues an exact item to be returned before any generation.
-func (s *Sequencer) PinNext(it *Item) { s.pinned = append(s.pinned, it.Clone()) }
+func (s *Sequencer) PinNext(it *Item) { s.pinned = append(s.pinned, it) }
 
 // PendingPinned reports how many exact items are queued.
-func (s *Sequencer) PendingPinned() int { return len(s.pinned) }
+func (s *Sequencer) PendingPinned() int { return len(s.pinned) - s.pinHead }
 
 // ClearPinned drops queued exact items (stale plans after a rollback).
-func (s *Sequencer) ClearPinned() { s.pinned = nil }
+func (s *Sequencer) ClearPinned() {
+	clear(s.pinned)
+	s.pinned, s.pinHead = s.pinned[:0], 0
+}
 
 // NextItem produces the next stimulus item.
 func (s *Sequencer) NextItem() *Item {
 	s.Generated++
 	s.Obs.SeqItem()
-	if len(s.pinned) > 0 {
-		it := s.pinned[0]
-		s.pinned = s.pinned[1:]
+	if s.pinHead < len(s.pinned) {
+		it := s.pinned[s.pinHead]
+		s.pinned[s.pinHead] = nil
+		s.pinHead++
+		if s.pinHead == len(s.pinned) {
+			s.pinned, s.pinHead = s.pinned[:0], 0
+		}
 		return it
 	}
 	if len(s.constraints) == 0 {
@@ -201,11 +285,11 @@ func (s *Sequencer) NextItem() *Item {
 }
 
 func (s *Sequencer) randomItem() *Item {
-	it := &Item{Fields: map[string]logic.BV{}, Hold: 1}
-	for _, f := range s.Fields {
-		it.Fields[f.Name] = logic.Rand(f.Width, s.rng.Uint64)
+	vals := s.newVals()
+	for i, f := range s.Fields {
+		vals[i] = s.slab.Rand(f.Width, s.rng.Uint64)
 	}
-	return it
+	return s.item(vals)
 }
 
 // solveItem runs the SMT solver with random decision polarity so that
@@ -228,38 +312,54 @@ func (s *Sequencer) solveItem() *Item {
 		return nil
 	}
 	m := sol.Model()
-	it := &Item{Fields: map[string]logic.BV{}, Hold: 1}
-	for _, f := range s.Fields {
+	vals := s.newVals()
+	for i, f := range s.Fields {
 		v, ok := m[f.Name]
 		if !ok {
-			v = logic.Rand(f.Width, s.rng.Uint64)
+			v = s.slab.Rand(f.Width, s.rng.Uint64)
 		}
-		it.Fields[f.Name] = v
+		vals[i] = v
 	}
-	return it
+	return s.item(vals)
 }
 
 // Mutate flips a random number of bits in a parent item, the
-// mutation-based half of seed generation (§4.8).
+// mutation-based half of seed generation (§4.8). A field the parent
+// does not assign is drawn at random first, then flipped.
 func (s *Sequencer) Mutate(parent *Item) *Item {
-	it := parent.Clone()
 	if len(s.Fields) == 0 {
-		return it
+		return parent
 	}
+	l := parent.layout
+	names := l.names
+	vals := append([]logic.BV(nil), parent.vals...)
 	flips := 1 + s.rng.Intn(4)
 	for i := 0; i < flips; i++ {
 		f := s.Fields[s.rng.Intn(len(s.Fields))]
-		v := it.Fields[f.Name]
+		j := slices.Index(names, f.Name)
+		var v logic.BV
+		if j >= 0 {
+			v = vals[j]
+		}
 		if !v.Valid() {
 			v = logic.Rand(f.Width, s.rng.Uint64)
 		}
 		bit := s.rng.Intn(f.Width)
-		cur := v.Bit(bit)
-		if cur == logic.L1 {
-			it.Fields[f.Name] = v.WithBit(bit, logic.L0)
+		if v.Bit(bit) == logic.L1 {
+			v = v.WithBit(bit, logic.L0)
 		} else {
-			it.Fields[f.Name] = v.WithBit(bit, logic.L1)
+			v = v.WithBit(bit, logic.L1)
+		}
+		if j < 0 {
+			names = append(names[:len(names):len(names)], f.Name)
+			vals = append(vals, v)
+			l = nil
+		} else {
+			vals[j] = v
 		}
 	}
-	return it
+	if l == nil {
+		l = newLayout(names)
+	}
+	return &Item{layout: l, vals: vals, Hold: parent.Hold}
 }

@@ -81,10 +81,10 @@ func TestRandomStimulusRuns(t *testing.T) {
 		t.Errorf("generated = %d", env.Agent.Sequencer.Generated)
 	}
 	// acc should be defined (reset happened) and outputs observed.
-	if v, ok := env.Agent.Monitor.Observations["acc"]; !ok || !v.Valid() {
+	if v, ok := env.Agent.Monitor.Observation("acc"); !ok || !v.Valid() {
 		t.Errorf("acc not observed: %v", v)
 	}
-	if len(env.Scoreboard.Observations) == 0 {
+	if len(env.Scoreboard.Observations()) == 0 {
 		t.Error("scoreboard empty")
 	}
 }
@@ -106,10 +106,10 @@ func TestConstrainedRandomization(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := 0; i < 20; i++ {
 		it := seq.NextItem()
-		if v, _ := it.Fields["op"].Uint64(); v != 1 {
+		if v, _ := field(it, "op").Uint64(); v != 1 {
 			t.Fatalf("op = %d, want 1", v)
 		}
-		dv, _ := it.Fields["data"].Uint64()
+		dv, _ := field(it, "data").Uint64()
 		if dv >= 100 {
 			t.Fatalf("data = %d violates constraint", dv)
 		}
@@ -136,7 +136,7 @@ func TestUnsatisfiableConstraintFallsBack(t *testing.T) {
 		return smt.And(smt.Eq(vars["op"], smt.ConstUint(4, 1)),
 			smt.Eq(vars["op"], smt.ConstUint(4, 2)))
 	})
-	if it := seq.NextItem(); it == nil || !it.Fields["op"].Valid() {
+	if it := seq.NextItem(); it == nil || !field(it, "op").Valid() {
 		t.Fatal("sequencer must fall back to random stimulus")
 	}
 }
@@ -148,17 +148,14 @@ func TestPinnedReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := env.Agent.Sequencer
-	want := &Item{Fields: map[string]logic.BV{
-		"data": logic.FromUint64(8, 0x55),
-		"op":   logic.FromUint64(4, 3),
-	}}
+	want := NewItem([]string{"data", "op"}, []logic.BV{logic.FromUint64(8, 0x55), logic.FromUint64(4, 3)})
 	seq.PinNext(want)
 	if seq.PendingPinned() != 1 {
 		t.Fatal("pin not queued")
 	}
 	got := seq.NextItem()
-	if !got.Fields["data"].Eq4(want.Fields["data"]) || !got.Fields["op"].Eq4(want.Fields["op"]) {
-		t.Errorf("replayed item mismatch: %+v", got.Fields)
+	if !field(got, "data").Eq4(field(want, "data")) || !field(got, "op").Eq4(field(want, "op")) {
+		t.Errorf("replayed item mismatch: %s", got.Key())
 	}
 	if seq.PendingPinned() != 0 {
 		t.Error("pin queue not drained")
@@ -175,10 +172,7 @@ func TestDriverAppliesItem(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Load acc with 0x42 via op=3 (load).
-	it := &Item{Fields: map[string]logic.BV{
-		"data": logic.FromUint64(8, 0x42),
-		"op":   logic.FromUint64(4, 3),
-	}}
+	it := NewItem([]string{"data", "op"}, []logic.BV{logic.FromUint64(8, 0x42), logic.FromUint64(4, 3)})
 	if err := env.Agent.Driver.Apply(it); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +181,7 @@ func TestDriverAppliesItem(t *testing.T) {
 		t.Errorf("acc = %v", acc)
 	}
 	// Unknown field errors.
-	bad := &Item{Fields: map[string]logic.BV{"nope": logic.Zero(1)}}
+	bad := NewItem([]string{"nope"}, []logic.BV{logic.Zero(1)})
 	if err := env.Agent.Driver.Apply(bad); err == nil {
 		t.Error("unknown field should error")
 	}
@@ -211,10 +205,7 @@ func TestMonitorPropertyIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force acc to 250 via load.
-	env.Agent.Sequencer.PinNext(&Item{Fields: map[string]logic.BV{
-		"data": logic.FromUint64(8, 250),
-		"op":   logic.FromUint64(4, 3),
-	}})
+	env.Agent.Sequencer.PinNext(NewItem([]string{"data", "op"}, []logic.BV{logic.FromUint64(8, 250), logic.FromUint64(4, 3)}))
 	if _, err := env.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +232,7 @@ func TestScoreboardGolden(t *testing.T) {
 	if err := env.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	env.Agent.Sequencer.PinNext(&Item{Fields: map[string]logic.BV{
-		"data": logic.FromUint64(8, 9),
-		"op":   logic.FromUint64(4, 3),
-	}})
+	env.Agent.Sequencer.PinNext(NewItem([]string{"data", "op"}, []logic.BV{logic.FromUint64(8, 9), logic.FromUint64(4, 3)}))
 	_, _ = env.Step()
 	_, _ = env.Step()
 	if len(env.Scoreboard.Mismatches) == 0 {
@@ -260,27 +248,21 @@ func TestMutate(t *testing.T) {
 	}
 	seq := env.Agent.Sequencer
 	parent := seq.NextItem()
+	parentKey := parent.Key()
 	child := seq.Mutate(parent)
 	if child.Key() == parent.Key() {
 		// Mutation flips at least one bit, so keys must differ.
 		t.Error("mutation produced an identical item")
 	}
-	// Parent unchanged (clone semantics).
-	reparent := parent.Clone()
-	if parent.Key() != reparent.Key() {
-		t.Error("clone changed the parent")
+	// Parent unchanged (items are immutable).
+	if parent.Key() != parentKey {
+		t.Error("mutation changed the parent")
 	}
 }
 
 func TestItemKeyDeterministic(t *testing.T) {
-	a := &Item{Fields: map[string]logic.BV{
-		"x": logic.FromUint64(4, 1),
-		"y": logic.FromUint64(4, 2),
-	}}
-	b := &Item{Fields: map[string]logic.BV{
-		"y": logic.FromUint64(4, 2),
-		"x": logic.FromUint64(4, 1),
-	}}
+	a := NewItem([]string{"x", "y"}, []logic.BV{logic.FromUint64(4, 1), logic.FromUint64(4, 2)})
+	b := NewItem([]string{"y", "x"}, []logic.BV{logic.FromUint64(4, 2), logic.FromUint64(4, 1)})
 	if a.Key() != b.Key() {
 		t.Error("key must be order independent")
 	}
@@ -301,10 +283,7 @@ endmodule`
 	if err := env.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	env.Agent.Sequencer.PinNext(&Item{Fields: map[string]logic.BV{
-		"a": logic.FromUint64(4, 0b1100),
-		"b": logic.FromUint64(4, 0b1010),
-	}})
+	env.Agent.Sequencer.PinNext(NewItem([]string{"a", "b"}, []logic.BV{logic.FromUint64(4, 0b1100), logic.FromUint64(4, 0b1010)}))
 	if _, err := env.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -387,10 +366,7 @@ func TestItemHoldCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := env.Sim.Cycle()
-	it := &Item{Fields: map[string]logic.BV{
-		"data": logic.FromUint64(8, 1),
-		"op":   logic.FromUint64(4, 1), // accumulate
-	}, Hold: 5}
+	it := withHold(NewItem([]string{"data", "op"}, []logic.BV{logic.FromUint64(8, 1), logic.FromUint64(4, 1)}), 5)
 	if err := env.Agent.Driver.Apply(it); err != nil {
 		t.Fatal(err)
 	}
@@ -400,4 +376,17 @@ func TestItemHoldCycles(t *testing.T) {
 	if v, _ := env.Sim.Peek("acc"); !v.Eq4(logic.FromUint64(8, 5)) {
 		t.Errorf("acc = %v, want 5 after 5 held adds", v)
 	}
+}
+
+// field returns the value an item assigns to a field (the invalid zero
+// BV when it assigns none).
+func field(it *Item, name string) logic.BV {
+	v, _ := it.Value(name)
+	return v
+}
+
+// withHold sets a hand-built item's hold count.
+func withHold(it *Item, hold int) *Item {
+	it.Hold = hold
+	return it
 }

@@ -501,6 +501,10 @@ type EnvConfig = uvm.EnvConfig
 // Item is one stimulus transaction.
 type Item = uvm.Item
 
+// NewItem builds a stimulus item assigning vals[i] to the input field
+// names[i], for pinning with Sequencer.PinNext or driving directly.
+func NewItem(names []string, vals []BV) *Item { return uvm.NewItem(names, vals) }
+
 // NewEnv builds a UVM environment around a design.
 func NewEnv(d *Design, c EnvConfig) (*Env, error) { return uvm.NewEnv(d, c) }
 

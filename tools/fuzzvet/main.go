@@ -52,6 +52,7 @@ var rangemapPkgs = map[string]bool{
 	"internal/par":   true,
 	"internal/dist":  true,
 	"internal/prof":  true,
+	"internal/sim":   true,
 	"internal/watch": true,
 }
 
@@ -123,7 +124,9 @@ func run(root string) ([]Finding, error) {
 		}
 		if info.IsDir() {
 			base := info.Name()
-			if base == "testdata" || strings.HasPrefix(base, ".") {
+			// The root itself is exempt: the default root "." would
+			// otherwise be skipped as a dot-directory.
+			if path != root && (base == "testdata" || strings.HasPrefix(base, ".")) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -534,15 +537,32 @@ func rangeLeaks(fset *token.FileSet, s *ast.RangeStmt, fnHasSort bool) []Finding
 				if !ok || fn.Name != "append" || i >= len(st.Lhs) {
 					continue
 				}
-				dst, ok := st.Lhs[i].(*ast.Ident)
-				if !ok || loopVars[dst.Name] {
+				dst, root := appendTarget(st.Lhs[i])
+				if root == "" || loopVars[root] {
 					continue
 				}
 				add(st, fmt.Sprintf("append to loop-external slice %q inside range over map with no sort in this function",
-					dst.Name))
+					dst))
 			}
 		}
 		return true
 	})
 	return out
+}
+
+// appendTarget names an append destination, a variable or a field
+// path such as info.Tree, and the identifier at its root; root is ""
+// for any other expression.
+func appendTarget(e ast.Expr) (name, root string) {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name, x.Name
+	case *ast.SelectorExpr:
+		name, root = appendTarget(x.X)
+		if root == "" {
+			return "", ""
+		}
+		return name + "." + x.Sel.Name, root
+	}
+	return "", ""
 }

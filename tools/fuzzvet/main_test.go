@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -24,7 +25,7 @@ func TestBadFixture(t *testing.T) {
 	}
 	got := countByRule(fs)
 	want := map[string]int{
-		"rangemap":   5, // send, go, external method call, 2x unsorted append
+		"rangemap":   6, // send, go, external method call, 3x unsorted append
 		"timenow":    2, // time.Now, time.Since
 		"globalrand": 2, // rand.Seed, rand.Intn
 	}
@@ -33,8 +34,8 @@ func TestBadFixture(t *testing.T) {
 			t.Errorf("rule %s: %d findings, want %d\nall: %v", rule, got[rule], n, fs)
 		}
 	}
-	if len(fs) != 5+2+2 {
-		t.Errorf("total findings = %d, want 9: %v", len(fs), fs)
+	if len(fs) != 6+2+2 {
+		t.Errorf("total findings = %d, want 10: %v", len(fs), fs)
 	}
 }
 
@@ -112,5 +113,27 @@ func TestRepoClean(t *testing.T) {
 	}
 	for _, f := range fs {
 		t.Errorf("repo finding: %s", f)
+	}
+}
+
+// TestRunVetsDotRoot guards the walk root: a root whose last element
+// starts with a dot (the default ".", or "../..") is the tree to vet,
+// not a hidden directory to skip.
+func TestRunVetsDotRoot(t *testing.T) {
+	dir := t.TempDir()
+	pkg := filepath.Join(dir, "internal", "cfg")
+	if err := os.MkdirAll(pkg, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src := "package cfg\n\nfunc keys(m map[int]bool) (out []int) {\n\tfor k := range m {\n\t\tout = append(out, k)\n\t}\n\treturn out\n}\n"
+	if err := os.WriteFile(filepath.Join(pkg, "leak.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := run(dir + string(filepath.Separator) + ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs) != 1 || fs[0].Rule != "rangemap" {
+		t.Fatalf("findings under a dot-ended root = %v, want the one rangemap leak", fs)
 	}
 }

@@ -42,6 +42,16 @@ func appendsUnsorted(m map[string]int) []string {
 	return out
 }
 
+type info struct{ tree []int }
+
+func appendsToField(m map[int]bool) info {
+	var in info
+	for k := range m { // leak: unsorted append to a loop-external field
+		in.tree = append(in.tree, k)
+	}
+	return in
+}
+
 func localMapLiteral() []int {
 	m := map[int]bool{1: true, 2: true}
 	var out []int
