@@ -23,12 +23,14 @@ type SliceInfo struct {
 }
 
 // sliceState is the per-graph cache backing sliced dispatches: the
-// destination terms (shared with the unsliced path) and the fixed part
-// of the unsliced query's variable set, so FullVars costs one map probe
-// per context register instead of a term walk per dispatch.
+// destination terms (shared with the unsliced path), the fixed part of
+// the unsliced query's variable set, so FullVars costs one map probe
+// per context register instead of a term walk per dispatch, and the
+// cluster's own register signals.
 type sliceState struct {
-	dst   map[int]*smt.Term
-	fixed map[string]bool
+	dst       map[int]*smt.Term
+	fixed     map[string]bool
+	inCluster map[int]bool
 }
 
 // dstTerms returns the per-register destination terms, built once per
@@ -42,9 +44,10 @@ func (g *Graph) sliceInit() {
 	if g.slice != nil {
 		return
 	}
-	st := &sliceState{dst: g.destTerms(), fixed: map[string]bool{}}
+	st := &sliceState{dst: g.destTerms(), fixed: map[string]bool{}, inCluster: map[int]bool{}}
 	widths := map[string]int{}
 	for _, cr := range g.Regs {
+		st.inCluster[cr.Sig.Index] = true
 		analysis.CollectVars(st.dst[cr.Sig.Index], widths)
 		st.fixed[dstVar(cr.Sig)] = true
 		if cr.Sig.IsReg {
@@ -119,6 +122,11 @@ func (g *Graph) CheckStep(cur, want, context map[int]logic.BV, inputs map[string
 // Targets refuted during folding — a constraint collapsing to constant
 // false, or an abstract destination value excluding the wanted
 // valuation — are reported infeasible without running the solver.
+//
+// Only names in the graph's fixed variable set are bound: every
+// variable of every destination term is in it, so a context register
+// outside it cannot occur in the folded query and is only counted
+// toward FullVars.
 func (g *Graph) SolveStepSliced(cur, want, context map[int]logic.BV, seed int64) (*StepPlan, smt.SolveStats, SliceInfo) {
 	g.sliceInit()
 	bind := map[string]*smt.Term{}
@@ -132,18 +140,15 @@ func (g *Graph) SolveStepSliced(cur, want, context map[int]logic.BV, seed int64)
 		}
 		bind[CurVar+cr.Sig.Name] = ConstBV(v)
 	}
-	inCluster := map[int]bool{}
-	for _, cr := range g.Regs {
-		inCluster[cr.Sig.Index] = true
-	}
 	si := SliceInfo{FullVars: len(g.slice.fixed)}
 	for idx, v := range context {
-		if inCluster[idx] || !g.Design.Signals[idx].IsReg {
+		if g.slice.inCluster[idx] || !g.Design.Signals[idx].IsReg {
 			continue
 		}
 		name := CurVar + g.Design.Signals[idx].Name
 		if !g.slice.fixed[name] {
 			si.FullVars++
+			continue
 		}
 		bind[name] = ConstBV(v)
 	}

@@ -77,3 +77,47 @@ func TestSteadyCycleZeroAlloc(t *testing.T) {
 		t.Fatalf("%d pinned items left over", seq.PendingPinned())
 	}
 }
+
+// TestTargetSelectionZeroAlloc pins guidance target selection: on an
+// engine warmed by an I=40/Th=2 campaign, ranking the in-place
+// candidates and searching every cluster for a backtrack checkpoint,
+// from the current node and from the whole checkpoint store, allocate
+// nothing.
+func TestTargetSelectionZeroAlloc(t *testing.T) {
+	d, err := designs.OpenTitanMini(nil).Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(d, nil, Config{
+		Interval: 40, Threshold: 2, MaxVectors: 4000, Seed: 5,
+		SimBackend: "compiled", UseSnapshots: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SymbolicInvocations == 0 || e.nck == 0 {
+		t.Fatalf("campaign never guided or recorded no checkpoints: %s", rep)
+	}
+	found := 0
+	sel := func() {
+		found = len(e.inPlaceCandidates())
+		for gi := range e.part.Graphs {
+			if e.findTarget(gi, e.cover.PrevNode(gi)) != nil {
+				found++
+			}
+			if e.findTarget(gi, -1) != nil {
+				found++
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, sel); allocs != 0 {
+		t.Fatalf("target selection: %v allocations per call, want 0", allocs)
+	}
+	if found == 0 {
+		t.Fatal("target selection found nothing; the pin measured an empty search")
+	}
+}

@@ -297,16 +297,31 @@ type Engine struct {
 	cover *cov.CFGCov
 	extra []cov.Monitor
 
-	// pruned marks, per cluster graph, the node IDs whose register
-	// valuations the lint facts prove unreachable (nil when disabled).
-	pruned []map[int]bool
+	// pruned[gi][node] marks the nodes whose register valuations the
+	// lint facts prove unreachable, and prunedOut[gi][node] lists the
+	// node's out-edges into them (both nil when disabled).
+	pruned    [][]bool
+	prunedOut [][][]int
 
-	// checkpoints are keyed by (cluster graph index, node ID).
-	checkpoints map[[2]int]*checkpoint
-	// ckTaken[gi][node] marks the keys of checkpoints: the check
-	// maybeCheckpoint makes for every cluster on every vector, as a
-	// dense index instead of a hashed lookup.
-	ckTaken   [][]bool
+	// ck[gi][node] is the checkpoint recorded at a cluster node, nil
+	// until the node is first reached; nck counts the non-nil entries.
+	ck  [][]*checkpoint
+	nck int
+
+	// regs is Design.Registers(), and vals holds one read of the DUV's
+	// registers plus the guided cluster's control registers: the
+	// current valuation and the out-of-cluster context of a solve.
+	regs []*elab.Signal
+	vals map[int]logic.BV
+
+	// Guidance scratch, reused so that target selection allocates
+	// nothing: the in-place candidate list and findTarget's BFS queue
+	// with its epoch-stamped visited marks.
+	cands   []inPlace
+	queue   []int
+	visited []uint32
+	epoch   uint32
+
 	prefix    []*uvm.Item
 	report    *Report
 	rng       *rand.Rand
@@ -378,21 +393,25 @@ func New(d *elab.Design, properties []*props.Property, c Config) (*Engine, error
 		return nil, err
 	}
 	e := &Engine{
-		cfgc:        c,
-		env:         env,
-		part:        part,
-		cover:       cov.NewCFGCov(part),
-		checkpoints: map[[2]int]*checkpoint{},
-		report:      &Report{GraphStats: part.Stats()},
-		rng:         rand.New(rand.NewSource(c.Seed ^ 0x51bb)),
-		obs:         c.Obs,
-		prof:        c.Prof,
-		shardAll:    true,
-		ckTaken:     make([][]bool, len(part.Graphs)),
+		cfgc:     c,
+		env:      env,
+		part:     part,
+		cover:    cov.NewCFGCov(part),
+		report:   &Report{GraphStats: part.Stats()},
+		rng:      rand.New(rand.NewSource(c.Seed ^ 0x51bb)),
+		obs:      c.Obs,
+		prof:     c.Prof,
+		shardAll: true,
+		ck:       make([][]*checkpoint, len(part.Graphs)),
+		regs:     d.Registers(),
+		vals:     map[int]logic.BV{},
 	}
+	maxNodes := 0
 	for gi, g := range part.Graphs {
-		e.ckTaken[gi] = make([]bool, len(g.Nodes))
+		e.ck[gi] = make([]*checkpoint, len(g.Nodes))
+		maxNodes = max(maxNodes, len(g.Nodes))
 	}
+	e.visited = make([]uint32, maxNodes)
 	env.Agent.Sequencer.Obs = c.Obs
 	if e.prof.Enabled() {
 		// The annotation clock is injected so the sim package itself
@@ -571,11 +590,9 @@ func (e *Engine) maybeCheckpoint() {
 	var snap *sim.Snapshot
 	for gi, g := range e.part.Graphs {
 		node := e.cover.PrevNode(gi)
-		if node < 0 || e.ckTaken[gi][node] {
+		if node < 0 || e.ck[gi][node] != nil {
 			continue
 		}
-		e.ckTaken[gi][node] = true
-		key := [2]int{gi, node}
 		ck := &checkpoint{graph: gi, node: node, prefix: append([]*uvm.Item(nil), e.prefix...)}
 		var snapBytes int64
 		if e.cfgc.UseSnapshots {
@@ -585,7 +602,8 @@ func (e *Engine) maybeCheckpoint() {
 			ck.snap = snap
 			snapBytes = snap.Bytes()
 		}
-		e.checkpoints[key] = ck
+		e.ck[gi][node] = ck
+		e.nck++
 		e.report.Timings.CheckpointBytes += snapBytes
 		e.obs.CheckpointTaken(snapBytes, e.report.Vectors, e.cover.Points())
 		if g.Checkpoints[node] {
@@ -612,9 +630,10 @@ func (e *Engine) markPruned(d *elab.Design, resetVals map[int]logic.BV) {
 			})
 		}
 	}
-	e.pruned = make([]map[int]bool, len(e.part.Graphs))
+	e.pruned = make([][]bool, len(e.part.Graphs))
+	e.prunedOut = make([][][]int, len(e.part.Graphs))
 	for gi, g := range e.part.Graphs {
-		e.pruned[gi] = map[int]bool{}
+		e.pruned[gi] = make([]bool, len(g.Nodes))
 		for _, n := range g.Nodes {
 			if n.ID == 0 {
 				continue // reset/root node stays targetable
@@ -629,6 +648,12 @@ func (e *Engine) markPruned(d *elab.Design, resetVals map[int]logic.BV) {
 					e.report.PrunedTargets++
 					break
 				}
+			}
+		}
+		e.prunedOut[gi] = make([][]int, len(g.Nodes))
+		for _, edge := range g.Edges {
+			if e.pruned[gi][edge.To] {
+				e.prunedOut[gi][edge.From] = append(e.prunedOut[gi][edge.From], edge.ID)
 			}
 		}
 	}
@@ -651,7 +676,7 @@ func (e *Engine) planKey(gi, to int, curVals, context map[int]logic.BV) PlanKey 
 		h = hashCanonBV(h, curVals[cr.Sig.Index], cr.Sig.Width)
 	}
 	h = fnvByte(h, 0xFF) // section separator
-	for _, sig := range e.part.Design.Registers() {
+	for _, sig := range e.regs {
 		if inCluster[sig.Index] {
 			continue
 		}
@@ -728,7 +753,7 @@ func canonUint64(v logic.BV) (uint64, bool) {
 func (e *Engine) uncoveredFrom(gi, node int, count bool) []cfg.Edge {
 	g := e.part.Graphs[gi]
 	edges := g.UncoveredFrom(node, e.cover.EdgesSeen[gi])
-	if e.pruned != nil && len(e.pruned[gi]) > 0 {
+	if e.pruned != nil {
 		kept := edges[:0]
 		for _, edge := range edges {
 			if e.pruned[gi][edge.To] {
@@ -755,6 +780,25 @@ func (e *Engine) uncoveredFrom(gi, node int, count bool) []cfg.Edge {
 		edges = kept
 	}
 	return edges
+}
+
+// uncoveredCount is len(e.uncoveredFrom(gi, node, false)) without
+// listing the edges: the monitor's count of the node's uncovered
+// out-edges, less those into pruned targets. Shard ownership is per
+// edge, so an active shard that still has in-shard work lists them.
+func (e *Engine) uncoveredCount(gi, node int) int {
+	if e.cfgc.Shard.Active() && !e.shardAll {
+		return len(e.uncoveredFrom(gi, node, false))
+	}
+	n := e.cover.UncoveredOut(gi, node)
+	if e.prunedOut != nil && n > 0 {
+		for _, eid := range e.prunedOut[gi][node] {
+			if !e.cover.EdgesSeen[gi][eid] {
+				n--
+			}
+		}
+	}
+	return n
 }
 
 // shardDrained reports whether every un-pruned static edge owned by
@@ -805,7 +849,7 @@ func (e *Engine) guide() {
 		// Solve in place: clusters whose current node has unexplored
 		// out-edges, most-unexplored first.
 		for _, cand := range e.inPlaceCandidates() {
-			if e.tryEdges(cand[0], cand[1]) {
+			if e.tryEdges(cand.gi, cand.node) {
 				progressed = true
 				break
 			}
@@ -830,18 +874,8 @@ func (e *Engine) guide() {
 			// diversify the interaction tuples by re-entering a recorded
 			// checkpoint (§4.5 replays rather than rebooting), or
 			// hard-reset when nothing is recorded yet.
-			if len(e.checkpoints) > 0 {
-				keys := make([][2]int, 0, len(e.checkpoints))
-				for k := range e.checkpoints {
-					keys = append(keys, k)
-				}
-				sort.Slice(keys, func(i, j int) bool {
-					if keys[i][0] != keys[j][0] {
-						return keys[i][0] < keys[j][0]
-					}
-					return keys[i][1] < keys[j][1]
-				})
-				e.rollback(e.checkpoints[keys[e.rng.Intn(len(keys))]])
+			if e.nck > 0 {
+				e.rollback(e.nthCheckpoint(e.rng.Intn(e.nck)))
 			} else {
 				_ = e.env.Reset()
 				e.prefix = e.prefix[:0]
@@ -854,33 +888,54 @@ func (e *Engine) guide() {
 	}
 }
 
-// inPlaceCandidates lists (cluster, node) pairs whose current node has
-// unexplored out-edges, sorted by unexplored count descending.
-func (e *Engine) inPlaceCandidates() [][2]int {
-	type cand struct {
-		gi, node, score int
+// nthCheckpoint returns the k-th recorded checkpoint in (cluster,
+// node) order.
+func (e *Engine) nthCheckpoint(k int) *checkpoint {
+	for _, cks := range e.ck {
+		for _, ck := range cks {
+			if ck == nil {
+				continue
+			}
+			if k == 0 {
+				return ck
+			}
+			k--
+		}
 	}
-	var cands []cand
+	return nil
+}
+
+// inPlace is a cluster whose current node has unexplored out-edges.
+type inPlace struct {
+	gi, node, score int
+}
+
+// inPlaceCandidates lists the clusters whose current node has
+// unexplored out-edges, most unexplored first, ties by cluster index.
+// The slice is engine scratch, valid until the next call.
+func (e *Engine) inPlaceCandidates() []inPlace {
+	cands := e.cands[:0]
 	for gi := range e.part.Graphs {
 		cur := e.cover.PrevNode(gi)
 		if cur < 0 {
 			continue
 		}
-		if n := len(e.uncoveredFrom(gi, cur, false)); n > 0 {
-			cands = append(cands, cand{gi, cur, n})
+		n := e.uncoveredCount(gi, cur)
+		if n == 0 {
+			continue
 		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
+		// Insertion keeps the list sorted; clusters arrive in index
+		// order, so equal scores stay in index order.
+		i := len(cands)
+		cands = append(cands, inPlace{})
+		for i > 0 && cands[i-1].score < n {
+			cands[i] = cands[i-1]
+			i--
 		}
-		return cands[i].gi < cands[j].gi
-	})
-	out := make([][2]int, len(cands))
-	for i, c := range cands {
-		out[i] = [2]int{c.gi, c.node}
+		cands[i] = inPlace{gi, cur, n}
 	}
-	return out
+	e.cands = cands
+	return cands
 }
 
 // solveStep dispatches one dependency-equation solve through the
@@ -907,21 +962,35 @@ func (e *Engine) noteSlice(saved int, infeasible bool) {
 	}
 }
 
+// readRegs refills e.vals from the DUV: every design register plus
+// cluster gi's control registers, read once each.
+func (e *Engine) readRegs(gi int) {
+	clear(e.vals)
+	for _, sig := range e.regs {
+		e.vals[sig.Index] = e.env.Sim.Get(sig.Index)
+	}
+	for _, cr := range e.part.Graphs[gi].Regs {
+		if _, ok := e.vals[cr.Sig.Index]; !ok {
+			e.vals[cr.Sig.Index] = e.env.Sim.Get(cr.Sig.Index)
+		}
+	}
+}
+
 // tryEdges attempts up to guideTries unexplored out-edges of the node,
 // solving each with the full concrete register context and applying the
-// plan; reports whether any targeted edge got exercised.
+// plan; reports whether any targeted edge got exercised. The registers
+// are read once, and again only after a plan has moved the DUV: e.vals
+// serves as both the current valuation and the context of each solve,
+// which read disjoint parts of it.
 func (e *Engine) tryEdges(gi, node int) bool {
 	g := e.part.Graphs[gi]
 	edges := e.rankedEdges(gi, node)
+	stale := true
 	for try := 0; try < len(edges) && try < guideTries; try++ {
 		edge := edges[try]
-		curVals := map[int]logic.BV{}
-		context := map[int]logic.BV{}
-		for _, cr := range g.Regs {
-			curVals[cr.Sig.Index] = e.env.Sim.Get(cr.Sig.Index)
-		}
-		for _, sig := range e.part.Design.Registers() {
-			context[sig.Index] = e.env.Sim.Get(sig.Index)
+		if stale {
+			e.readRegs(gi)
+			stale = false
 		}
 		var plan *cfg.StepPlan
 		var st smt.SolveStats
@@ -936,14 +1005,14 @@ func (e *Engine) tryEdges(gi, node int) bool {
 			// a live solve (modulo saved wall time). The slicing
 			// counters ride in the cached entry for the same reason:
 			// hit and miss must increment the report identically.
-			key := e.planKey(gi, edge.To, curVals, context)
+			key := e.planKey(gi, edge.To, e.vals, e.vals)
 			if c, ok := cache.Lookup(key); ok {
 				plan, st = c.Plan, c.Stats
 				si = cfg.SliceInfo{FullVars: c.SlicedVars, Infeasible: c.Infeasible}
 				e.report.SolveCacheHits++
 				cacheRef = obs.CacheRef{State: "hit", OriginWorker: c.OriginWorker, OriginSpan: c.OriginSpan}
 			} else {
-				plan, st, si = e.solveStep(g, curVals, g.Nodes[edge.To].Vals, context, e.cacheSeed(key))
+				plan, st, si = e.solveStep(g, e.vals, g.Nodes[edge.To].Vals, e.vals, e.cacheSeed(key))
 				e.report.SolveCacheMisses++
 				cacheRef = obs.CacheRef{State: "miss"}
 				// The cached entry carries the net saving, not the raw
@@ -954,7 +1023,7 @@ func (e *Engine) tryEdges(gi, node int) bool {
 				storeKey, store = key, cache
 			}
 		} else {
-			plan, st, si = e.solveStep(g, curVals, g.Nodes[edge.To].Vals, context,
+			plan, st, si = e.solveStep(g, e.vals, g.Nodes[edge.To].Vals, e.vals,
 				e.cfgc.Seed+int64(e.report.SymbolicInvocations))
 			si = cfg.SliceInfo{FullVars: si.FullVars - si.ConeVars, Infeasible: si.Infeasible}
 		}
@@ -1002,55 +1071,52 @@ func (e *Engine) tryEdges(gi, node int) bool {
 			e.prof.PlanUnlocked(gi, edge.ID, gained)
 			return true
 		}
+		stale = true
 	}
 	return false
 }
 
 // findTarget locates a checkpoint of cluster gi with uncovered
-// out-edges, walking CFG predecessors breadth-first from cur.
+// out-edges, walking CFG predecessors breadth-first from cur (from
+// every checkpoint of the cluster, in node order, when cur is -1).
 func (e *Engine) findTarget(gi, cur int) *checkpoint {
 	g := e.part.Graphs[gi]
-	visited := map[int]bool{}
-	var queue []int
+	cks := e.ck[gi]
+	e.epoch++
+	if e.epoch == 0 { // wrapped: stale marks could read as current
+		clear(e.visited)
+		e.epoch = 1
+	}
+	queue := e.queue[:0]
 	if cur >= 0 {
 		queue = append(queue, cur)
-		visited[cur] = true
+		e.visited[cur] = e.epoch
 	} else {
-		for key := range e.checkpoints {
-			if key[0] == gi {
-				queue = append(queue, key[1])
-				visited[key[1]] = true
+		for n, ck := range cks {
+			if ck != nil {
+				queue = append(queue, n)
+				e.visited[n] = e.epoch
 			}
 		}
-		sort.Ints(queue)
 	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		if ck, ok := e.checkpoints[[2]int{gi, n}]; ok {
-			if len(e.uncoveredFrom(gi, n, false)) > 0 {
-				return ck
-			}
+	for head := 0; head < len(queue); head++ {
+		n := queue[head]
+		if ck := cks[n]; ck != nil && e.uncoveredCount(gi, n) > 0 {
+			e.queue = queue
+			return ck
 		}
 		for _, eid := range g.Nodes[n].In {
-			from := g.Edges[eid].From
-			if !visited[from] {
-				visited[from] = true
+			if from := g.Edges[eid].From; e.visited[from] != e.epoch {
+				e.visited[from] = e.epoch
 				queue = append(queue, from)
 			}
 		}
 	}
+	e.queue = queue
 	// Fall back to any recorded checkpoint of this cluster with work left.
-	var keys [][2]int
-	for key := range e.checkpoints {
-		if key[0] == gi {
-			keys = append(keys, key)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i][1] < keys[j][1] })
-	for _, key := range keys {
-		if len(e.uncoveredFrom(gi, key[1], false)) > 0 {
-			return e.checkpoints[key]
+	for n, ck := range cks {
+		if ck != nil && e.uncoveredCount(gi, n) > 0 {
+			return ck
 		}
 	}
 	return nil
@@ -1126,7 +1192,7 @@ func (e *Engine) rankedEdges(gi, node int) []cfg.Edge {
 	}
 	rs := make([]ranked, len(uncovered))
 	for i, edge := range uncovered {
-		rs[i] = ranked{edge, len(e.uncoveredFrom(gi, edge.To, false)), hamming(cur, g.Nodes[edge.To])}
+		rs[i] = ranked{edge, e.uncoveredCount(gi, edge.To), hamming(cur, g.Nodes[edge.To])}
 	}
 	sort.SliceStable(rs, func(i, j int) bool {
 		if rs[i].unlocks != rs[j].unlocks {

@@ -56,6 +56,12 @@ func (f tracerFunc) Branch(id, arm int) { f(id, arm) }
 // sighting; edges, DynEdges and interaction tuples are guarded the
 // same way by packed-key sets. The public maps keep their string and
 // int keys, so wire formats, merges and reports do not see the tables.
+//
+// A monitor built by NewCFGCov also keeps, per static node, the number
+// of its out-edges not yet in EdgesSeen (UncoveredOut), so guidance can
+// rank nodes without listing their edges. EdgesSeen must then grow only
+// through Sample and Merge; a monitor built as a struct literal keeps no
+// counts and may be filled directly.
 type CFGCov struct {
 	P *cfg.Partition
 	// NodesSeen / EdgesSeen are static hits, per cluster graph.
@@ -90,6 +96,9 @@ type CFGCov struct {
 
 	// branchRegs[id] lists the control registers branch id reads.
 	branchRegs [][]int
+	// uncov[gi][node] counts node's out-edges absent from EdgesSeen[gi]
+	// (nil on struct-literal monitors).
+	uncov [][]int32
 
 	prevKey  []string
 	prevID   []int32 // intern ID of prevKey, -1 when uncached
@@ -144,12 +153,17 @@ func NewCFGCov(p *cfg.Partition) *CFGCov {
 		prevKey:    make([]string, len(p.Graphs)),
 		prevID:     make([]int32, len(p.Graphs)),
 		prevNode:   make([]int, len(p.Graphs)),
+		uncov:      make([][]int32, len(p.Graphs)),
 	}
-	for i := range p.Graphs {
+	for i, g := range p.Graphs {
 		c.NodesSeen[i] = map[int]bool{}
 		c.EdgesSeen[i] = map[int]bool{}
 		c.prevNode[i] = -1
 		c.prevID[i] = -1
+		c.uncov[i] = make([]int32, len(g.Nodes))
+		for n, node := range g.Nodes {
+			c.uncov[i][n] = int32(len(node.Out))
+		}
 	}
 	ctrl := map[int]bool{}
 	for _, g := range p.Graphs {
@@ -377,9 +391,7 @@ func (c *CFGCov) Sample(s sim.DUV) {
 				}
 			}
 			if eid >= 0 {
-				if seen := c.EdgesSeen[gi]; !seen[eid] {
-					seen[eid] = true
-				}
+				c.addEdge(gi, eid)
 			} else {
 				c.noteDynEdge(gi, id, key)
 			}
@@ -418,6 +430,34 @@ func (c *CFGCov) Sample(s sim.DUV) {
 	}
 	c.drainEvents()
 	c.hasPrev = true
+}
+
+// addEdge is the one insert path into EdgesSeen: it records static
+// edge eid of cluster gi and, the first time, takes it off its source
+// node's uncovered count. IDs outside the graph (a malformed merge
+// source) are recorded but counted nowhere.
+func (c *CFGCov) addEdge(gi, eid int) {
+	seen := c.EdgesSeen[gi]
+	if seen[eid] {
+		return
+	}
+	seen[eid] = true
+	if c.uncov != nil {
+		if edges := c.P.Graphs[gi].Edges; eid >= 0 && eid < len(edges) {
+			c.uncov[gi][edges[eid].From]--
+		}
+	}
+}
+
+// UncoveredOut is the number of node's static out-edges in cluster gi
+// not yet exercised: len(Graph.UncoveredFrom(node, EdgesSeen[gi])),
+// kept as a count. It is 0 for an out-of-range node and on monitors not
+// built by NewCFGCov.
+func (c *CFGCov) UncoveredOut(gi, node int) int {
+	if gi < 0 || gi >= len(c.uncov) || node < 0 || node >= len(c.uncov[gi]) {
+		return 0
+	}
+	return int(c.uncov[gi][node])
 }
 
 // canonKey maps a four-state key to the graph's canonical (X->0) key.
@@ -493,7 +533,7 @@ func (c *CFGCov) Merge(o *CFGCov) {
 			c.NodesSeen[gi][id] = true
 		}
 		for id := range o.EdgesSeen[gi] {
-			c.EdgesSeen[gi][id] = true
+			c.addEdge(gi, id)
 		}
 	}
 	for k := range o.DynNodes {

@@ -1,6 +1,9 @@
 package cov
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
 	"testing"
 )
 
@@ -74,5 +77,106 @@ func TestCFGCovMergeUnion(t *testing.T) {
 	sum := snapshotCounts(a)[0] + snapshotCounts(b)[0]
 	if ab[0] >= sum {
 		t.Fatalf("overlapping coverage double-counted: union=%d, sum=%d (paths share edges)", ab[0], sum)
+	}
+}
+
+// assertUncoveredOut checks every node's maintained count of uncovered
+// out-edges against a recount from EdgesSeen.
+func assertUncoveredOut(t *testing.T, where string, c *CFGCov) {
+	t.Helper()
+	for gi, g := range c.P.Graphs {
+		for n := range g.Nodes {
+			if got, want := c.UncoveredOut(gi, n), len(g.UncoveredFrom(n, c.EdgesSeen[gi])); got != want {
+				t.Fatalf("%s: cluster %d node %d: UncoveredOut %d, recount %d", where, gi, n, got, want)
+			}
+		}
+	}
+}
+
+// TestUncoveredOutMatchesRecount is the differential test for the
+// per-node uncovered-edge counts: after random Sample sequences with
+// snapshot rollbacks, and after merges from a NewCFGCov monitor and
+// from struct-literal monitors (the wire-decoded shape), every count
+// equals a recount of the node's out-edges missing from EdgesSeen.
+func TestUncoveredOutMatchesRecount(t *testing.T) {
+	run := func(seed int64, cycles int) *CFGCov {
+		f := newSoC(t, "compiled")
+		c := NewCFGCov(f.part)
+		Attach(f.s, c)
+		assertUncoveredOut(t, "fresh monitor", c)
+		rng := rand.New(rand.NewSource(seed))
+		snap := f.s.Snapshot()
+		for i := 1; i <= cycles; i++ {
+			f.step(t, rng)
+			if i%150 == 0 {
+				f.s.Restore(snap)
+				c.SyncPosition(f.s)
+			}
+			if i%100 == 0 {
+				assertUncoveredOut(t, fmt.Sprintf("seed %d cycle %d", seed, i), c)
+			}
+		}
+		if covered, _ := c.EdgeCoverage(); covered == 0 {
+			t.Fatalf("seed %d covered no edges", seed)
+		}
+		return c
+	}
+	a, b := run(3, 1200), run(4, 1200)
+
+	m := NewCFGCov(a.P)
+	for _, step := range []struct {
+		name string
+		src  *CFGCov
+	}{
+		{"merge a", a},
+		{"merge b", b},
+		{"merge a again", a},
+	} {
+		m.Merge(step.src)
+		assertUncoveredOut(t, step.name, m)
+	}
+
+	// Struct-literal monitors carry sets and no counts: a random half of
+	// every cluster's edges, then every edge.
+	rng := rand.New(rand.NewSource(9))
+	literal := func(keep func(eid int) bool) *CFGCov {
+		lit := &CFGCov{
+			NodesSeen: make([]map[int]bool, len(m.P.Graphs)),
+			EdgesSeen: make([]map[int]bool, len(m.P.Graphs)),
+			Tuples:    map[string]bool{},
+		}
+		for gi, g := range m.P.Graphs {
+			lit.NodesSeen[gi], lit.EdgesSeen[gi] = map[int]bool{}, map[int]bool{}
+			for _, e := range g.Edges {
+				if keep(e.ID) {
+					lit.EdgesSeen[gi][e.ID] = true
+				}
+			}
+		}
+		return lit
+	}
+	half := literal(func(int) bool { return rng.Intn(2) == 0 })
+	m.Merge(half)
+	assertUncoveredOut(t, "merge struct literal (half)", m)
+
+	// Merging into a struct literal (the publish path's pending sets)
+	// keeps working; it has no counts.
+	all := literal(func(int) bool { return true })
+	half.Merge(all)
+	if !maps.Equal(half.EdgesSeen[0], all.EdgesSeen[0]) {
+		t.Fatal("merge into a struct literal lost edges")
+	}
+	if n := half.UncoveredOut(0, 0); n != 0 {
+		t.Fatalf("struct-literal monitor reports UncoveredOut %d, want 0", n)
+	}
+
+	m.Merge(all)
+	assertUncoveredOut(t, "merge struct literal (all)", m)
+	for gi, g := range m.P.Graphs {
+		for n := range g.Nodes {
+			if c := m.UncoveredOut(gi, n); c != 0 {
+				t.Fatalf("every edge merged, but cluster %d node %d has %d uncovered", gi, n, c)
+			}
+		}
 	}
 }

@@ -12,6 +12,15 @@ import (
 // maxLoopIterations bounds for-loop unrolling.
 const maxLoopIterations = 1 << 16
 
+// maxDesignBits bounds a design's state: the summed widths of its
+// signals plus the bits of its memories. With hdl.MaxWidth on every
+// declared width, it keeps hostile RTL from exhausting memory when the
+// design is elaborated or simulated.
+const maxDesignBits = 1 << 26
+
+// maxInstances bounds the module instances a design flattens into.
+const maxInstances = 1 << 14
+
 // Elaborate flattens the design rooted at the module named top,
 // resolving parameters (with optional numeric overrides for the top
 // module), enums, hierarchy and for-loops, and compiling all behaviour
@@ -22,8 +31,9 @@ func Elaborate(src *hdl.Source, top string, overrides map[string]uint64) (*Desig
 		return nil, fmt.Errorf("elab: top module %q not found", top)
 	}
 	e := &elaborator{
-		src: src,
-		d:   &Design{Name: top, Top: top, ByName: map[string]*Signal{}},
+		src:    src,
+		d:      &Design{Name: top, Top: top, ByName: map[string]*Signal{}},
+		active: map[string]bool{},
 	}
 	ov := map[string]logic.BV{}
 	for k, v := range overrides {
@@ -39,6 +49,14 @@ func Elaborate(src *hdl.Source, top string, overrides map[string]uint64) (*Desig
 type elaborator struct {
 	src *hdl.Source
 	d   *Design
+	// bits sums the state declared so far (see maxDesignBits).
+	bits int
+	// instances counts the module instances flattened so far, and
+	// active marks the modules on the instantiation stack, so that a
+	// module instantiating itself is an error instead of a recursion
+	// without end.
+	instances int
+	active    map[string]bool
 	// curProc is the index of the process whose body is being compiled,
 	// recorded into BranchInfo for diagnostics.
 	curProc int
@@ -69,6 +87,9 @@ func (e *elaborator) newSignal(sc *scope, local string, width int, kind SignalKi
 	if width <= 0 {
 		return nil, fmt.Errorf("elab: signal %q has non-positive width %d", name, width)
 	}
+	if err := e.addBits(name, width); err != nil {
+		return nil, err
+	}
 	sig := &Signal{Index: len(e.d.Signals), Name: name, Width: width, Kind: kind, Pos: pos}
 	e.d.Signals = append(e.d.Signals, sig)
 	e.d.ByName[name] = sig
@@ -78,6 +99,14 @@ func (e *elaborator) newSignal(sc *scope, local string, width int, kind SignalKi
 
 // instantiate elaborates one module instance under the given prefix.
 func (e *elaborator) instantiate(mod *hdl.Module, prefix string, paramOverrides map[string]logic.BV, isTop bool) error {
+	if e.active[mod.Name] {
+		return fmt.Errorf("elab: module %q is instantiated inside itself (as %s)", mod.Name, prefix)
+	}
+	if e.instances++; e.instances > maxInstances {
+		return fmt.Errorf("elab: more than %d module instances", maxInstances)
+	}
+	e.active[mod.Name] = true
+	defer delete(e.active, mod.Name)
 	sc := &scope{
 		prefix:  prefix,
 		params:  map[string]logic.BV{},
@@ -182,9 +211,16 @@ func (e *elaborator) instantiate(mod *hdl.Module, prefix string, paramOverrides 
 			if err != nil {
 				return err
 			}
-			depth := int(hi) - int(lo) + 1
-			if depth <= 0 {
-				depth = int(lo) - int(hi) + 1
+			span := hi - lo
+			if lo > hi {
+				span = lo - hi
+			}
+			if span >= maxDesignBits {
+				return fmt.Errorf("memory %s.%s: depth %d+1 out of range", mod.Name, n.Name, span)
+			}
+			depth := int(span) + 1
+			if err := e.addBits(sc.hname(n.Name), w*depth); err != nil {
+				return err
 			}
 			mem := &Memory{Index: len(e.d.Memories), Name: sc.hname(n.Name), Width: w, Depth: depth}
 			e.d.Memories = append(e.d.Memories, mem)
@@ -385,6 +421,16 @@ func (e *elaborator) markRegisters() {
 	}
 }
 
+// addBits charges n bits of state declared by name against
+// maxDesignBits.
+func (e *elaborator) addBits(name string, n int) error {
+	e.bits += n
+	if e.bits > maxDesignBits {
+		return fmt.Errorf("elab: %q brings the design to %d state bits, over the %d-bit limit", name, e.bits, maxDesignBits)
+	}
+	return nil
+}
+
 // typeWidth resolves a TypeRef to a bit width.
 func (e *elaborator) typeWidth(sc *scope, t hdl.TypeRef) (int, error) {
 	if t.Enum != "" {
@@ -407,6 +453,9 @@ func (e *elaborator) typeWidth(sc *scope, t hdl.TypeRef) (int, error) {
 	}
 	if hi < lo {
 		return 0, fmt.Errorf("descending range [%d:%d] unsupported", hi, lo)
+	}
+	if hi-lo >= hdl.MaxWidth {
+		return 0, fmt.Errorf("range [%d:%d] exceeds %d bits", hi, lo, hdl.MaxWidth)
 	}
 	return int(hi-lo) + 1, nil
 }
@@ -598,7 +647,13 @@ func (e *elaborator) compileExpr(sc *scope, ex hdl.Expr, ctxW int) (Expr, error)
 			if err != nil {
 				return nil, err
 			}
+			if w == 0 || w > hdl.MaxWidth {
+				return nil, fmt.Errorf("%v: +: width %d out of range", n.ExprPos(), w)
+			}
 			if cv, err2 := e.constUint(sc, n.Hi); err2 == nil {
+				if cv >= hdl.MaxWidth {
+					return nil, fmt.Errorf("%v: +: start %d out of range", n.ExprPos(), cv)
+				}
 				return Slice{X: x, Hi: int(cv) + int(w) - 1, Lo: int(cv)}, nil
 			}
 			start, err := e.compileExpr(sc, n.Hi, 0)
@@ -615,7 +670,7 @@ func (e *elaborator) compileExpr(sc *scope, ex hdl.Expr, ctxW int) (Expr, error)
 		if err != nil {
 			return nil, err
 		}
-		if int(hi) >= x.Width() || hi < lo {
+		if hi >= uint64(x.Width()) || hi < lo {
 			return nil, fmt.Errorf("%v: part-select [%d:%d] out of range for width %d", n.ExprPos(), hi, lo, x.Width())
 		}
 		return Slice{X: x, Hi: int(hi), Lo: int(lo)}, nil
@@ -822,6 +877,9 @@ func (e *elaborator) compileTarget(sc *scope, ex hdl.Expr) (Target, error) {
 			if err != nil {
 				return nil, err
 			}
+			if w == 0 || w > hdl.MaxWidth || start >= hdl.MaxWidth {
+				return nil, fmt.Errorf("%v: +: target [%d +: %d] out of range", n.ExprPos(), start, w)
+			}
 			return TRange{Idx: sig.Index, W: sig.Width, Hi: int(start + w - 1), Lo: int(start)}, nil
 		}
 		hi, err := e.constUint(sc, n.Hi)
@@ -832,7 +890,7 @@ func (e *elaborator) compileTarget(sc *scope, ex hdl.Expr) (Target, error) {
 		if err != nil {
 			return nil, err
 		}
-		if int(hi) >= sig.Width || hi < lo {
+		if hi >= uint64(sig.Width) || hi < lo {
 			return nil, fmt.Errorf("%v: target range [%d:%d] out of bounds for %s[%d]", n.ExprPos(), hi, lo, sig.Name, sig.Width)
 		}
 		return TRange{Idx: sig.Index, W: sig.Width, Hi: int(hi), Lo: int(lo)}, nil

@@ -1142,6 +1142,11 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	return nil, fmt.Errorf("%v: unexpected %s %q in expression", t.Pos, t.Kind, t.Text)
 }
 
+// MaxWidth bounds the bit width of a sized literal, and the elaborator
+// bounds signal and memory-word widths by it, so that a hostile width
+// in user RTL fails with an error instead of exhausting memory.
+const MaxWidth = 1 << 16
+
 // parseNumberToken converts a NUMBER token into a Number node with the
 // bit pattern expanded MSB-first.
 func parseNumberToken(t Token) (*Number, error) {
@@ -1189,6 +1194,9 @@ func parseNumberToken(t Token) (*Number, error) {
 		w, err := strconv.Atoi(sizeStr)
 		if err != nil || w <= 0 {
 			return nil, fmt.Errorf("%v: invalid literal size %q", t.Pos, t.Text)
+		}
+		if w > MaxWidth {
+			return nil, fmt.Errorf("%v: literal size %d exceeds %d bits in %q", t.Pos, w, MaxWidth, t.Text)
 		}
 		width = w
 	}

@@ -48,6 +48,7 @@ import (
 var rangemapPkgs = map[string]bool{
 	"internal/cfg":   true,
 	"internal/core":  true,
+	"internal/cov":   true,
 	"internal/uvm":   true,
 	"internal/par":   true,
 	"internal/dist":  true,
