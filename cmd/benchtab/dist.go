@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	symbfuzz "repro"
 	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/dist"
@@ -127,14 +128,14 @@ func measureDist(b *designs.Benchmark, benchName string, budget uint64, workers 
 	}
 
 	// Discovery: what does one lane reach on this budget?
-	disc, err := par.Run(b.Elaborate, b.Properties, par.Config{Config: cc, Workers: 1})
+	disc, err := symbfuzz.FuzzParallel(b, par.Config{Config: cc, Workers: 1})
 	if err != nil {
 		return nil, err
 	}
 	target := disc.Merged.FinalPoints
 
 	// In-process: N workers race the shared-memory frontier.
-	inproc, err := par.Run(b.Elaborate, b.Properties,
+	inproc, err := symbfuzz.FuzzParallel(b,
 		par.Config{Config: cc, Workers: workers, StopAtPoints: target})
 	if err != nil {
 		return nil, err

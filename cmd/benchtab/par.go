@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
+	"time"
 
+	symbfuzz "repro"
 	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/par"
@@ -27,8 +30,10 @@ import (
 // workers are CPU-bound simulation lanes. The record therefore also
 // carries the scheduling-independent measure (total vectors to target,
 // which a k-core machine divides across lanes) and the wall ratio
-// projected for a machine with at least `workers` cores. The record is
-// written as BENCH_par.json — the repo's bench trajectory format.
+// projected for a machine with at least `workers` cores, plus each
+// parallel run's set-up time (elaborate, one model build, N engine
+// constructions). The record is written as BENCH_par.json — the repo's
+// bench trajectory format — with the command line that produced it.
 
 // ParRow is one design's scaling measurement.
 type ParRow struct {
@@ -52,11 +57,19 @@ type ParRow struct {
 	// expected parallel:single wall ratio on a machine with >= workers
 	// cores, where the lanes actually run concurrently.
 	ProjectedWallRatio float64 `json:"projected_wall_ratio"`
+
+	// ParSetupNS is the N-worker run's set-up time: elaborate, prepare
+	// the shared model and build the N engines, measured as the whole
+	// run's wall time minus the campaign's WallNS.
+	ParSetupNS int64 `json:"par_setup_ns"`
 }
 
-// ParBench is the BENCH_par.json record.
+// ParBench is the BENCH_par.json record. Argv is the command that
+// wrote it (program base name plus arguments), so the record can be
+// reproduced exactly.
 type ParBench struct {
 	Schema  string   `json:"schema"`
+	Argv    []string `json:"argv"`
 	Workers int      `json:"workers"`
 	Cores   int      `json:"cores"`
 	Seed    int64    `json:"seed"`
@@ -83,6 +96,7 @@ func runPar(workers int, seed int64, outPath string, w io.Writer) error {
 	}
 	bench := ParBench{
 		Schema:  "symbfuzz-bench-par/v1",
+		Argv:    append([]string{filepath.Base(os.Args[0])}, os.Args[1:]...),
 		Workers: workers,
 		Cores:   runtime.NumCPU(),
 		Seed:    seed,
@@ -103,18 +117,18 @@ func runPar(workers int, seed int64, outPath string, w io.Writer) error {
 
 	fmt.Fprintf(w, "Parallel scaling (time to single-worker coverage, %d workers, %d cores)\n",
 		workers, bench.Cores)
-	fmt.Fprintf(w, "%-16s %8s %8s %12s %12s %8s %8s %10s\n",
+	fmt.Fprintf(w, "%-16s %8s %8s %12s %12s %8s %8s %10s %12s\n",
 		"bench", "budget", "target", "1w wall", fmt.Sprintf("%dw wall", workers),
-		"speedup", "vec-eff", "proj-ratio")
+		"speedup", "vec-eff", "proj-ratio", fmt.Sprintf("%dw setup", workers))
 	for _, r := range bench.Rows {
 		status := fmt.Sprintf("%.2fx", r.WallSpeedup)
 		if !r.ParReached {
 			status = "miss"
 		}
-		fmt.Fprintf(w, "%-16s %8d %8d %10.2fms %10.2fms %8s %8.2f %10.2f\n",
+		fmt.Fprintf(w, "%-16s %8d %8d %10.2fms %10.2fms %8s %8.2f %10.2f %10.2fms\n",
 			r.Bench, r.Budget, r.TargetPoints,
 			float64(r.SingleWallNS)/1e6, float64(r.ParWallNS)/1e6,
-			status, r.VectorEfficiency, r.ProjectedWallRatio)
+			status, r.VectorEfficiency, r.ProjectedWallRatio, float64(r.ParSetupNS)/1e6)
 	}
 
 	out, err := json.MarshalIndent(bench, "", "  ")
@@ -140,21 +154,33 @@ func measurePar(b *designs.Benchmark, budget uint64, workers int, seed int64) (*
 		}
 	}
 
+	// run is one whole campaign as the CLI runs it: elaborate, prepare
+	// the model once, build the engines and run them. setupNS is its
+	// wall time outside the campaign's own WallNS.
+	run := func(c par.Config) (*par.Report, int64, error) {
+		start := time.Now()
+		r, err := symbfuzz.FuzzParallel(b, c)
+		if err != nil {
+			return nil, 0, err
+		}
+		return r, int64(time.Since(start)) - r.WallNS, nil
+	}
+
 	// Discovery: what does one lane reach on this budget?
-	disc, err := par.Run(b.Elaborate, b.Properties, cfg(1, 0))
+	disc, _, err := run(cfg(1, 0))
 	if err != nil {
 		return nil, err
 	}
 	target := disc.Merged.FinalPoints
 
 	// Baseline: time for the same lane to get there.
-	single, err := par.Run(b.Elaborate, b.Properties, cfg(1, target))
+	single, _, err := run(cfg(1, target))
 	if err != nil {
 		return nil, err
 	}
 
 	// Parallel: N lanes race the merged frontier to the same target.
-	parallel, err := par.Run(b.Elaborate, b.Properties, cfg(workers, target))
+	parallel, setupNS, err := run(cfg(workers, target))
 	if err != nil {
 		return nil, err
 	}
@@ -168,6 +194,7 @@ func measurePar(b *designs.Benchmark, budget uint64, workers int, seed int64) (*
 		ParWallNS:    parallel.TimeToTargetNS,
 		ParVec:       vectorsToTarget(parallel, target),
 		ParReached:   parallel.TimeToTargetNS > 0,
+		ParSetupNS:   setupNS,
 	}
 	if row.ParReached && row.ParWallNS > 0 && row.SingleWallNS > 0 {
 		row.WallSpeedup = float64(row.SingleWallNS) / float64(row.ParWallNS)

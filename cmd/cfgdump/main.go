@@ -14,13 +14,11 @@ import (
 	"fmt"
 	"os"
 
-	symbfuzz "repro"
 	"repro/internal/analysis"
 	"repro/internal/cfg"
-	"repro/internal/designs"
+	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/elab"
-	"repro/internal/logic"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -37,24 +35,19 @@ func main() {
 	)
 	flag.Parse()
 
-	var (
-		b   *symbfuzz.Benchmark
-		err error
-	)
+	// Designs resolve exactly as campaign specs do (tracecheck and the
+	// distributed coordinator share the table).
+	spec := dist.CampaignSpec{Bench: *bench, Top: *top}
 	if *srcF != "" {
-		data, rerr := os.ReadFile(*srcF)
-		if rerr != nil {
-			fail(rerr)
-		}
-		if *top == "" {
-			fail(fmt.Errorf("-top is required with -src"))
-		}
-		b = &symbfuzz.Benchmark{Name: *top, Top: *top, Source: string(data)}
-	} else {
-		b, err = builtin(*bench)
+		data, err := os.ReadFile(*srcF)
 		if err != nil {
 			fail(err)
 		}
+		spec.Source = string(data)
+	}
+	b, _, err := dist.ResolveSpec(spec)
+	if err != nil {
+		fail(err)
 	}
 	d, err := b.Elaborate()
 	if err != nil {
@@ -74,46 +67,24 @@ func main() {
 	}
 	fmt.Printf("node space (Eqn. 3): %d\n", cfg.NodeSpace(regs))
 
-	tr, err := cfg.BuildTransition(d)
+	m, err := core.Prepare(d, core.Config{
+		CFG:            cfg.Options{MaxNodes: *maxN, MaxSuccessors: *maxS},
+		DisablePruning: true,
+	})
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("dependency equations generated: %d\n", tr.EqCount)
+	g := m.Partition()
+	fmt.Printf("dependency equations generated: %d\n", g.Tr.EqCount)
 	if *eqns {
 		fmt.Println("\nnext-state dependency equations:")
-		for _, r := range tr.Regs {
-			if next, ok := tr.Next[r.Index]; ok {
+		for _, r := range g.Tr.Regs {
+			if next, ok := g.Tr.Next[r.Index]; ok {
 				fmt.Printf("  next(%s) = %s\n", r.Name, next)
 			}
 		}
 	}
 
-	s, err := sim.New(d)
-	if err != nil {
-		fail(err)
-	}
-	info := sim.DetectClockReset(d)
-	if err := s.ApplyReset(info, 2); err != nil {
-		fail(err)
-	}
-	reset := map[int]logic.BV{}
-	for _, cr := range regs {
-		reset[cr.Sig.Index] = s.Get(cr.Sig.Index)
-	}
-	pin := map[string]logic.BV{}
-	if info.Reset >= 0 {
-		v := logic.Ones(1)
-		if !info.ActiveLow {
-			v = logic.Zero(1)
-		}
-		pin[d.Signals[info.Reset].Name] = v
-	}
-	g, err := cfg.BuildPartition(d, tr, reset, cfg.Options{
-		MaxNodes: *maxN, MaxSuccessors: *maxS, Pin: pin,
-	})
-	if err != nil {
-		fail(err)
-	}
 	if *dotOut != "" {
 		if err := os.WriteFile(*dotOut, []byte(g.Dot(b.Name)), 0o644); err != nil {
 			fail(err)
@@ -176,32 +147,6 @@ func printAnalysis(d *elab.Design, part *cfg.Partition) {
 		}
 	}
 	fmt.Printf("statically infeasible CFG targets: %d of %d nodes\n", infeasible, total)
-}
-
-func builtin(name string) (*symbfuzz.Benchmark, error) {
-	switch name {
-	case "alu":
-		return symbfuzz.ALU(), nil
-	case "opentitan_mini":
-		return symbfuzz.OpenTitanMini(nil), nil
-	case "cva6_mini":
-		return symbfuzz.CVA6Mini(true), nil
-	case "rocket_mini":
-		return symbfuzz.RocketMini(true), nil
-	case "mor1kx_mini":
-		return symbfuzz.Mor1kxMini(true), nil
-	case "":
-		return nil, fmt.Errorf("one of -bench or -src is required")
-	}
-	for _, ip := range designs.AllIPs() {
-		if ip.Name == name {
-			return designs.IPBenchmark(ip, true), nil
-		}
-	}
-	if b, ok := designs.FindBenchmark(name); ok {
-		return b, nil
-	}
-	return nil, fmt.Errorf("unknown benchmark %q", name)
 }
 
 func fail(err error) {

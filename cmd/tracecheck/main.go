@@ -28,11 +28,9 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/cfg"
+	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/logic"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -126,10 +124,11 @@ func main() {
 	}
 }
 
-// checkSolveEdges rebuilds the benchmark's static CFG exactly the way
-// the engine does (post-reset valuation, reset input pinned
-// deasserted, default exploration bounds) and verifies every solve
-// span in the trace names a (cluster, edge) that exists in it.
+// checkSolveEdges prepares the benchmark's static model with the
+// engine's defaults (core.Prepare: post-reset valuation, reset input
+// pinned deasserted, default exploration bounds) and verifies every
+// solve span in the trace names a (cluster, edge) that exists in its
+// CFG.
 func checkSolveEdges(name string, fixed bool, events []obs.Event) (int, error) {
 	b, _, err := dist.ResolveSpec(dist.CampaignSpec{Bench: name, Fixed: fixed})
 	if err != nil {
@@ -139,34 +138,11 @@ func checkSolveEdges(name string, fixed bool, events []obs.Event) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	tr, err := cfg.BuildTransition(d)
+	m, err := core.Prepare(d, core.Config{DisablePruning: true})
 	if err != nil {
 		return 0, err
 	}
-	s, err := sim.New(d)
-	if err != nil {
-		return 0, err
-	}
-	info := sim.DetectClockReset(d)
-	if err := s.ApplyReset(info, 2); err != nil {
-		return 0, err
-	}
-	reset := map[int]logic.BV{}
-	for _, cr := range cfg.ControlRegisters(d) {
-		reset[cr.Sig.Index] = s.Get(cr.Sig.Index)
-	}
-	pin := map[string]logic.BV{}
-	if info.Reset >= 0 {
-		v := logic.Ones(1)
-		if !info.ActiveLow {
-			v = logic.Zero(1)
-		}
-		pin[d.Signals[info.Reset].Name] = v
-	}
-	part, err := cfg.BuildPartition(d, tr, reset, cfg.Options{Pin: pin})
-	if err != nil {
-		return 0, err
-	}
+	part := m.Partition()
 
 	checked := 0
 	for _, ev := range events {

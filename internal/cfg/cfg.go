@@ -139,10 +139,11 @@ type Graph struct {
 	// Truncated reports whether exploration hit a bound.
 	Truncated bool
 	// Constraints counts the solver constraints generated during
-	// construction and guidance queries (Table 3's last column).
+	// construction (Table 3's last column). Queries do not count, so a
+	// built graph is read-only and can back concurrent engines.
 	Constraints int
 	opts        Options
-	slice       *sliceState
+	slice       sliceState
 }
 
 // canonical zeroes unknown bits so node keys are well defined.
@@ -316,6 +317,7 @@ func BuildForRegs(d *elab.Design, tr *Transition, regs []ControlReg, reset map[i
 		Space:       NodeSpace(regs),
 		opts:        opts,
 	}
+	g.slice = g.newSliceState()
 	if len(regs) == 0 {
 		return g, nil
 	}
@@ -418,21 +420,22 @@ func (g *Graph) destTerms() map[int]*smt.Term {
 }
 
 // newSolverFor prepares a solver with the node's register valuation
-// asserted and the destination variables defined.
-func (g *Graph) newSolverFor(n *Node) *smt.Solver {
+// asserted and the destination variables defined, and returns the
+// number of constraints it asserted.
+func (g *Graph) newSolverFor(n *Node) (*smt.Solver, int) {
 	s := smt.NewSolver()
-	dst := g.dstTerms()
+	asserted := 0
 	for _, cr := range g.Regs {
-		term := dst[cr.Sig.Index]
+		term := g.slice.dst[cr.Sig.Index]
 		DeclareVars(s, term)
 		dv := s.Var(dstVar(cr.Sig), cr.Sig.Width)
 		s.Assert(smt.Eq(dv, term))
-		g.Constraints++
+		asserted++
 		// Constrain the current state for sequential control registers.
 		if cr.Sig.IsReg {
 			cv := s.Var(CurVar+cr.Sig.Name, cr.Sig.Width)
 			s.Assert(smt.Eq(cv, ConstBV(n.Vals[cr.Sig.Index])))
-			g.Constraints++
+			asserted++
 		}
 	}
 	// Pin requested inputs, in name order so the query is the same on
@@ -446,15 +449,16 @@ func (g *Graph) newSolverFor(n *Node) *smt.Solver {
 		v := g.opts.Pin[name]
 		pv := s.Var(InVar+name, v.Width())
 		s.Assert(smt.Eq(pv, ConstBV(v)))
-		g.Constraints++
+		asserted++
 	}
-	return s
+	return s, asserted
 }
 
 // successors enumerates the distinct destination valuations reachable
 // from node n in one step.
 func (g *Graph) successors(n *Node) ([]map[int]logic.BV, bool, error) {
-	s := g.newSolverFor(n)
+	s, asserted := g.newSolverFor(n)
+	g.Constraints += asserted
 	over := make([]string, 0, len(g.Regs))
 	for _, cr := range g.Regs {
 		over = append(over, dstVar(cr.Sig))
@@ -501,60 +505,62 @@ func (g *Graph) SolveStep(cur, want, context map[int]logic.BV, seed int64) *Step
 // wall time), which the engine surfaces through the telemetry layer and
 // the campaign report.
 func (g *Graph) SolveStepStats(cur, want, context map[int]logic.BV, seed int64) (*StepPlan, smt.SolveStats) {
-	node := &Node{Vals: map[int]logic.BV{}}
-	for _, cr := range g.Regs {
-		if v, ok := cur[cr.Sig.Index]; ok {
-			node.Vals[cr.Sig.Index] = canonical(v)
-		} else {
-			node.Vals[cr.Sig.Index] = logic.Zero(cr.Sig.Width)
-		}
-	}
-	s := g.newSolverFor(node)
+	s := g.querySolver(cur, want, context)
 	if seed != 0 {
 		s.SetRand(newRand(seed))
-	}
-	inCluster := map[int]bool{}
-	for _, cr := range g.Regs {
-		inCluster[cr.Sig.Index] = true
-	}
-	// Pin the context registers in sorted index order: assertion order
-	// fixes the solver's variable numbering, and with it which of
-	// several satisfying models a seeded solve returns — map order here
-	// would make the whole campaign trajectory run-to-run nondeterministic.
-	ctxIdx := make([]int, 0, len(context))
-	for idx := range context {
-		if inCluster[idx] {
-			continue
-		}
-		if !g.Design.Signals[idx].IsReg {
-			continue
-		}
-		ctxIdx = append(ctxIdx, idx)
-	}
-	sort.Ints(ctxIdx)
-	for _, idx := range ctxIdx {
-		sig := g.Design.Signals[idx]
-		cv := s.Var(CurVar+sig.Name, sig.Width)
-		s.Assert(smt.Eq(cv, ConstBV(context[idx])))
-		g.Constraints++
-	}
-	for _, cr := range g.Regs {
-		if v, ok := want[cr.Sig.Index]; ok {
-			s.Assert(smt.Eq(s.Var(dstVar(cr.Sig), cr.Sig.Width), ConstBV(v)))
-			g.Constraints++
-		}
 	}
 	if s.Solve() != smt.Sat {
 		return nil, s.LastStats()
 	}
-	m := s.Model()
+	return planFrom(s), s.LastStats()
+}
+
+// querySolver prepares the unsliced query of a cur -> want dispatch:
+// the cluster valuation (unknown bits and absent registers read as 0)
+// and destination definitions, the out-of-cluster context registers,
+// and the wanted destination values. Context registers are pinned in
+// sorted index order: assertion order fixes the solver's variable
+// numbering, and with it which of several satisfying models a seeded
+// solve returns — map order here would make the whole campaign
+// trajectory run-to-run nondeterministic.
+func (g *Graph) querySolver(cur, want, context map[int]logic.BV) *smt.Solver {
+	node := &Node{Vals: map[int]logic.BV{}}
+	for _, cr := range g.Regs {
+		v, ok := cur[cr.Sig.Index]
+		if !ok {
+			v = logic.Zero(cr.Sig.Width)
+		}
+		node.Vals[cr.Sig.Index] = canonical(v)
+	}
+	s, _ := g.newSolverFor(node)
+	ctxIdx := make([]int, 0, len(context))
+	for idx := range context {
+		if !g.slice.inCluster[idx] && g.Design.Signals[idx].IsReg {
+			ctxIdx = append(ctxIdx, idx)
+		}
+	}
+	sort.Ints(ctxIdx)
+	for _, idx := range ctxIdx {
+		sig := g.Design.Signals[idx]
+		s.Assert(smt.Eq(s.Var(CurVar+sig.Name, sig.Width), ConstBV(context[idx])))
+	}
+	for _, cr := range g.Regs {
+		if v, ok := want[cr.Sig.Index]; ok {
+			s.Assert(smt.Eq(s.Var(dstVar(cr.Sig), cr.Sig.Width), ConstBV(v)))
+		}
+	}
+	return s
+}
+
+// planFrom reads a satisfied solver's input assignment as a plan.
+func planFrom(s *smt.Solver) *StepPlan {
 	plan := &StepPlan{Inputs: map[string]logic.BV{}}
-	for name, v := range m {
+	for name, v := range s.Model() {
 		if strings.HasPrefix(name, InVar) {
 			plan.Inputs[name[len(InVar):]] = v
 		}
 	}
-	return plan, s.LastStats()
+	return plan
 }
 
 // NodeOf returns the node ID matching the given control valuation, or -1.

@@ -2,7 +2,6 @@ package cfg
 
 import (
 	"sort"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/logic"
@@ -22,29 +21,19 @@ type SliceInfo struct {
 	Infeasible bool
 }
 
-// sliceState is the per-graph cache backing sliced dispatches: the
-// destination terms (shared with the unsliced path), the fixed part of
-// the unsliced query's variable set, so FullVars costs one map probe
-// per context register instead of a term walk per dispatch, and the
-// cluster's own register signals.
+// sliceState is the per-graph table backing solver queries, built once
+// when the graph is: the destination terms (shared with the unsliced
+// path), the fixed part of the unsliced query's variable set, so
+// FullVars costs one map probe per context register instead of a term
+// walk per dispatch, and the cluster's own register signals.
 type sliceState struct {
 	dst       map[int]*smt.Term
 	fixed     map[string]bool
 	inCluster map[int]bool
 }
 
-// dstTerms returns the per-register destination terms, built once per
-// graph (construction rebuilt them per node before).
-func (g *Graph) dstTerms() map[int]*smt.Term {
-	g.sliceInit()
-	return g.slice.dst
-}
-
-func (g *Graph) sliceInit() {
-	if g.slice != nil {
-		return
-	}
-	st := &sliceState{dst: g.destTerms(), fixed: map[string]bool{}, inCluster: map[int]bool{}}
+func (g *Graph) newSliceState() sliceState {
+	st := sliceState{dst: g.destTerms(), fixed: map[string]bool{}, inCluster: map[int]bool{}}
 	widths := map[string]int{}
 	for _, cr := range g.Regs {
 		st.inCluster[cr.Sig.Index] = true
@@ -60,7 +49,7 @@ func (g *Graph) sliceInit() {
 	for name := range g.opts.Pin {
 		st.fixed[InVar+name] = true
 	}
-	g.slice = st
+	return st
 }
 
 // CheckStep reports whether the FULL (unsliced) dependency equation
@@ -69,30 +58,7 @@ func (g *Graph) sliceInit() {
 // application does. It is the differential oracle for sliced models —
 // a plan solved over the cone must still check out here.
 func (g *Graph) CheckStep(cur, want, context map[int]logic.BV, inputs map[string]logic.BV) bool {
-	node := &Node{Vals: map[int]logic.BV{}}
-	for _, cr := range g.Regs {
-		if v, ok := cur[cr.Sig.Index]; ok {
-			node.Vals[cr.Sig.Index] = canonical(v)
-		} else {
-			node.Vals[cr.Sig.Index] = logic.Zero(cr.Sig.Width)
-		}
-	}
-	s := g.newSolverFor(node)
-	inCluster := map[int]bool{}
-	for _, cr := range g.Regs {
-		inCluster[cr.Sig.Index] = true
-	}
-	ctxIdx := make([]int, 0, len(context))
-	for idx := range context {
-		if !inCluster[idx] && g.Design.Signals[idx].IsReg {
-			ctxIdx = append(ctxIdx, idx)
-		}
-	}
-	sort.Ints(ctxIdx)
-	for _, idx := range ctxIdx {
-		sig := g.Design.Signals[idx]
-		s.Assert(smt.Eq(s.Var(CurVar+sig.Name, sig.Width), ConstBV(context[idx])))
-	}
+	s := g.querySolver(cur, want, context)
 	for _, in := range g.Design.InputSignals() {
 		if _, pinned := g.opts.Pin[in.Name]; pinned {
 			continue
@@ -102,11 +68,6 @@ func (g *Graph) CheckStep(cur, want, context map[int]logic.BV, inputs map[string
 			v = logic.Zero(in.Width)
 		}
 		s.Assert(smt.Eq(s.Var(InVar+in.Name, in.Width), ConstBV(v)))
-	}
-	for _, cr := range g.Regs {
-		if v, ok := want[cr.Sig.Index]; ok {
-			s.Assert(smt.Eq(s.Var(dstVar(cr.Sig), cr.Sig.Width), ConstBV(v)))
-		}
 	}
 	return s.Solve() == smt.Sat
 }
@@ -128,7 +89,6 @@ func (g *Graph) CheckStep(cur, want, context map[int]logic.BV, inputs map[string
 // outside it cannot occur in the folded query and is only counted
 // toward FullVars.
 func (g *Graph) SolveStepSliced(cur, want, context map[int]logic.BV, seed int64) (*StepPlan, smt.SolveStats, SliceInfo) {
-	g.sliceInit()
 	bind := map[string]*smt.Term{}
 	for _, cr := range g.Regs {
 		if !cr.Sig.IsReg {
@@ -204,17 +164,9 @@ func (g *Graph) SolveStepSliced(cur, want, context map[int]logic.BV, seed int64)
 	}
 	for _, a := range asserts {
 		s.Assert(a)
-		g.Constraints++
 	}
 	if s.Solve() != smt.Sat {
 		return nil, s.LastStats(), si
 	}
-	m := s.Model()
-	plan := &StepPlan{Inputs: map[string]logic.BV{}}
-	for name, v := range m {
-		if strings.HasPrefix(name, InVar) {
-			plan.Inputs[name[len(InVar):]] = v
-		}
-	}
-	return plan, s.LastStats(), si
+	return planFrom(s), s.LastStats(), si
 }

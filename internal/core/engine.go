@@ -24,7 +24,6 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/cov"
 	"repro/internal/elab"
-	"repro/internal/lint"
 	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/prof"
@@ -276,6 +275,11 @@ type Report struct {
 	// monitor's event-buffer cap; nonzero means the interaction-tuple
 	// metric undercounts (see cov.EventCap).
 	CovEventsDropped uint64
+	// CovTableOverflow counts coverage observations that found one of
+	// the monitor's bounded tables full (cov.CFGCov.Overflow): points
+	// stay exact, but the DynNodes/DynEdges diagnostics are a subset.
+	// Omitted from JSON while zero, as it is under the table cap.
+	CovTableOverflow uint64 `json:",omitempty"`
 
 	// Interrupted is true when the campaign was cut short by context
 	// cancellation (SIGINT/SIGTERM): the report is a valid partial —
@@ -291,17 +295,14 @@ type Report struct {
 
 // Engine runs SymbFuzz on one design.
 type Engine struct {
-	cfgc  Config
+	cfgc Config
+	// m is the static model, shared read-only with every other engine
+	// on it; part is m.part.
+	m     *Model
 	env   *uvm.Env
 	part  *cfg.Partition
 	cover *cov.CFGCov
 	extra []cov.Monitor
-
-	// pruned[gi][node] marks the nodes whose register valuations the
-	// lint facts prove unreachable, and prunedOut[gi][node] lists the
-	// node's out-edges into them (both nil when disabled).
-	pruned    [][]bool
-	prunedOut [][][]int
 
 	// ck[gi][node] is the checkpoint recorded at a cluster node, nil
 	// until the node is first reached; nck counts the non-nil entries.
@@ -343,15 +344,48 @@ type Engine struct {
 	shardAll bool
 	// lastDrops / dropWarned track the coverage monitor's drop counter
 	// between intervals so drops are reported incrementally and the
-	// warning fires once.
-	lastDrops  uint64
-	dropWarned bool
+	// warning fires once; lastOverflow does the same for its table
+	// overflow counter.
+	lastDrops    uint64
+	dropWarned   bool
+	lastOverflow uint64
 }
 
-// New builds the engine: UVM environment, reset, transition relation,
-// static CFG and coverage monitor (Algorithm 1 lines 1–6).
+// New builds the engine: UVM environment, reset, and the static model
+// (transition relation, CFG and pruning; Algorithm 1 lines 1–6) read
+// off that environment's post-reset state. It is Prepare followed by
+// NewFromModel, with one simulator serving both.
 func New(d *elab.Design, properties []*props.Property, c Config) (*Engine, error) {
 	c = c.withDefaults()
+	env, err := newEnv(d, properties, c)
+	if err != nil {
+		return nil, err
+	}
+	m, err := prepare(d, env.ClockInfo, env.Sim, c)
+	if err != nil {
+		return nil, err
+	}
+	return newEngine(m, env, c), nil
+}
+
+// NewFromModel builds an engine on a prepared model: only the per-run
+// state (environment, coverage monitor, checkpoints, report) is new.
+// c.CFG, c.ResetCycles and c.DisablePruning must equal the values the
+// model was prepared with; NewFromModel returns an error otherwise.
+func NewFromModel(m *Model, properties []*props.Property, c Config) (*Engine, error) {
+	c = c.withDefaults()
+	if err := m.check(c); err != nil {
+		return nil, err
+	}
+	env, err := newEnv(m.d, properties, c)
+	if err != nil {
+		return nil, err
+	}
+	return newEngine(m, env, c), nil
+}
+
+// newEnv builds the UVM environment and runs the reset sequence.
+func newEnv(d *elab.Design, properties []*props.Property, c Config) (*uvm.Env, error) {
 	env, err := uvm.NewEnv(d, uvm.EnvConfig{
 		Seed:        c.Seed,
 		Properties:  properties,
@@ -364,46 +398,25 @@ func New(d *elab.Design, properties []*props.Property, c Config) (*Engine, error
 	if err := env.Reset(); err != nil {
 		return nil, err
 	}
-	tr, err := cfg.BuildTransition(d)
-	if err != nil {
-		return nil, err
-	}
-	// Pin the reset input deasserted during CFG construction so the
-	// graph describes post-reset behaviour.
-	opts := c.CFG
-	if opts.Pin == nil {
-		opts.Pin = map[string]logic.BV{}
-	}
-	if env.ClockInfo.Reset >= 0 {
-		name := d.Signals[env.ClockInfo.Reset].Name
-		if _, set := opts.Pin[name]; !set {
-			v := logic.Ones(1)
-			if !env.ClockInfo.ActiveLow {
-				v = logic.Zero(1)
-			}
-			opts.Pin[name] = v
-		}
-	}
-	resetVals := map[int]logic.BV{}
-	for _, cr := range cfg.ControlRegisters(d) {
-		resetVals[cr.Sig.Index] = env.Sim.Get(cr.Sig.Index)
-	}
-	part, err := cfg.BuildPartition(d, tr, resetVals, opts)
-	if err != nil {
-		return nil, err
-	}
+	return env, nil
+}
+
+// newEngine wires the per-run state of an engine around a reset env.
+func newEngine(m *Model, env *uvm.Env, c Config) *Engine {
+	part := m.part
 	e := &Engine{
 		cfgc:     c,
+		m:        m,
 		env:      env,
 		part:     part,
 		cover:    cov.NewCFGCov(part),
-		report:   &Report{GraphStats: part.Stats()},
+		report:   &Report{GraphStats: part.Stats(), PrunedTargets: m.prunedTargets},
 		rng:      rand.New(rand.NewSource(c.Seed ^ 0x51bb)),
 		obs:      c.Obs,
 		prof:     c.Prof,
 		shardAll: true,
 		ck:       make([][]*checkpoint, len(part.Graphs)),
-		regs:     d.Registers(),
+		regs:     m.d.Registers(),
 		vals:     map[int]logic.BV{},
 	}
 	maxNodes := 0
@@ -418,14 +431,7 @@ func New(d *elab.Design, properties []*props.Property, c Config) (*Engine, error
 		// never reads wall time (it must stay deterministic/pure).
 		env.Sim.EnableProfile(e.prof.Clock(), e.prof.SampleEvery())
 	}
-	if !c.DisablePruning {
-		e.markPruned(d, resetVals)
-	}
-	mon := cov.Monitor(e.cover)
-	if len(e.extra) > 0 {
-		mon = cov.NewMulti(append([]cov.Monitor{e.cover}, e.extra...)...)
-	}
-	cov.Attach(env.Sim, mon)
+	cov.Attach(env.Sim, e.cover)
 	// Cycles are counted monotonically: snapshot restores rewind the
 	// simulator's own clock but not the amount of simulation performed.
 	env.Sim.OnCycle(func(sim.DUV) { e.report.Cycles++ })
@@ -446,7 +452,7 @@ func New(d *elab.Design, properties []*props.Property, c Config) (*Engine, error
 			})
 		})
 	}
-	return e, nil
+	return e
 }
 
 // AttachMonitor adds an extra coverage monitor observing the same run
@@ -566,10 +572,15 @@ func (e *Engine) RunContext(ctx context.Context) (*Report, error) {
 	return e.report, nil
 }
 
-// checkDrops reports coverage-monitor buffer overflow incrementally:
-// each interval's newly dropped branch events feed the
-// cov_events_dropped metric, and the first occurrence warns once.
+// checkDrops reports coverage-monitor losses incrementally: each
+// interval's newly dropped branch events feed the cov_events_dropped
+// metric (the first occurrence warns once), and its new table
+// overflows feed cov_table_overflow.
 func (e *Engine) checkDrops(points int) {
+	if o := e.cover.Overflow; o > e.lastOverflow {
+		e.obs.CovOverflow(int64(o - e.lastOverflow))
+		e.lastOverflow = o
+	}
 	d := e.cover.Dropped
 	if d <= e.lastDrops {
 		return
@@ -608,53 +619,6 @@ func (e *Engine) maybeCheckpoint() {
 		e.obs.CheckpointTaken(snapBytes, e.report.Vectors, e.cover.Points())
 		if g.Checkpoints[node] {
 			e.report.CheckpointsTaken++
-		}
-	}
-}
-
-// markPruned runs the lint reachability analysis (value-domain
-// inference refined by SMT-proven dead arms) and marks every CFG node
-// holding a register value outside its proven domain. Such nodes come
-// from the transition relation's over-approximation — hold variables
-// and unconstrained successor models — and no input sequence can reach
-// them, so steering the solver toward them is wasted budget. The
-// simulator's actual post-reset values are unioned into the domains
-// first, and the reset node itself is never pruned.
-func (e *Engine) markPruned(d *elab.Design, resetVals map[int]logic.BV) {
-	facts := lint.AnalyzeReachability(d)
-	for idx, v := range resetVals {
-		if cv, ok := canonUint64(v); ok && !facts.Allows(idx, cv) {
-			facts.Domains[idx] = append(facts.Domains[idx], cv)
-			sort.Slice(facts.Domains[idx], func(i, j int) bool {
-				return facts.Domains[idx][i] < facts.Domains[idx][j]
-			})
-		}
-	}
-	e.pruned = make([][]bool, len(e.part.Graphs))
-	e.prunedOut = make([][][]int, len(e.part.Graphs))
-	for gi, g := range e.part.Graphs {
-		e.pruned[gi] = make([]bool, len(g.Nodes))
-		for _, n := range g.Nodes {
-			if n.ID == 0 {
-				continue // reset/root node stays targetable
-			}
-			for idx, v := range n.Vals {
-				cv, ok := canonUint64(v)
-				if !ok {
-					continue
-				}
-				if !facts.Allows(idx, cv) {
-					e.pruned[gi][n.ID] = true
-					e.report.PrunedTargets++
-					break
-				}
-			}
-		}
-		e.prunedOut[gi] = make([][]int, len(g.Nodes))
-		for _, edge := range g.Edges {
-			if e.pruned[gi][edge.To] {
-				e.prunedOut[gi][edge.From] = append(e.prunedOut[gi][edge.From], edge.ID)
-			}
 		}
 	}
 }
@@ -753,10 +717,10 @@ func canonUint64(v logic.BV) (uint64, bool) {
 func (e *Engine) uncoveredFrom(gi, node int, count bool) []cfg.Edge {
 	g := e.part.Graphs[gi]
 	edges := g.UncoveredFrom(node, e.cover.EdgesSeen[gi])
-	if e.pruned != nil {
+	if e.m.pruned != nil {
 		kept := edges[:0]
 		for _, edge := range edges {
-			if e.pruned[gi][edge.To] {
+			if e.m.pruned[gi][edge.To] {
 				if count {
 					e.report.PrunedSolves++
 					e.obs.PruneSkip(gi, edge.To, e.report.Vectors, e.cover.Points())
@@ -791,8 +755,8 @@ func (e *Engine) uncoveredCount(gi, node int) int {
 		return len(e.uncoveredFrom(gi, node, false))
 	}
 	n := e.cover.UncoveredOut(gi, node)
-	if e.prunedOut != nil && n > 0 {
-		for _, eid := range e.prunedOut[gi][node] {
+	if e.m.prunedOut != nil && n > 0 {
+		for _, eid := range e.m.prunedOut[gi][node] {
 			if !e.cover.EdgesSeen[gi][eid] {
 				n--
 			}
@@ -812,7 +776,7 @@ func (e *Engine) shardDrained() bool {
 			if !s.Owns(gi, edge.ID) {
 				continue
 			}
-			if e.pruned != nil && e.pruned[gi][edge.To] {
+			if e.m.pruned != nil && e.m.pruned[gi][edge.To] {
 				continue
 			}
 			if !e.cover.EdgesSeen[gi][edge.ID] {
@@ -1250,6 +1214,7 @@ func (e *Engine) scanDump() {
 
 func (e *Engine) finishReport() {
 	e.report.CovEventsDropped = e.cover.Dropped
+	e.report.CovTableOverflow = e.cover.Overflow
 	e.report.FinalPoints = e.cover.Points()
 	e.report.NodesCovered, e.report.NodesTotal = e.cover.NodeCoverage()
 	e.report.EdgesCovered, e.report.EdgesTotal = e.cover.EdgeCoverage()

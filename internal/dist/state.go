@@ -149,11 +149,11 @@ func NewCampaignState(c CoordConfig) (*CampaignState, error) {
 		c.LeaseTTL = 5 * time.Second
 	}
 
-	// Elaborate a probe engine: it checks that every worker will be
-	// able to build the same campaign, and its partition gives the
-	// frontier its shape and the final merge its graph (cluster graphs
-	// are built deterministically, so worker partitions agree).
-	bench, properties, err := ResolveSpec(c.Spec)
+	// Prepare the campaign's static model: it checks that every worker
+	// will be able to build the same campaign, and its partition gives
+	// the frontier its shape and the final merge its graph (cluster
+	// graphs are built deterministically, so worker models agree).
+	bench, _, err := ResolveSpec(c.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -161,15 +161,11 @@ func NewCampaignState(c CoordConfig) (*CampaignState, error) {
 	if err != nil {
 		return nil, err
 	}
-	probe, err := core.New(d, properties, specConfig(c.Spec, 0))
+	m, err := core.Prepare(d, specConfig(c.Spec, 0))
 	if err != nil {
 		return nil, err
 	}
-	part := probe.Graph()
-	edgesTotal := 0
-	for _, g := range part.Graphs {
-		edgesTotal += len(g.Edges)
-	}
+	part := m.Partition()
 
 	cs := &CampaignState{
 		cfg:        c,
@@ -184,7 +180,7 @@ func NewCampaignState(c CoordConfig) (*CampaignState, error) {
 		alertIDs:   map[string]bool{},
 		doneCh:     make(chan struct{}),
 	}
-	cs.fr = par.NewFrontier(len(part.Graphs), edgesTotal, c.Spec.Workers,
+	cs.fr = par.NewFrontier(len(part.Graphs), part.TotalEdges(), c.Spec.Workers,
 		c.StopAtPoints, c.StopWhenAllCovered, c.Obs)
 
 	var replayed *journalState

@@ -231,6 +231,9 @@ type worker struct {
 	spec       CampaignSpec
 	bench      *designs.Benchmark
 	properties []*props.Property
+	// model is the campaign's static model, prepared at the first
+	// leased rank and shared by every rank this worker runs.
+	model *core.Model
 	// l1 is the process-local plan cache shared across the ranks this
 	// worker runs (per-rank remoteCache adapters wrap it).
 	l1 *par.SolveCache
@@ -246,14 +249,20 @@ type worker struct {
 	publishesLeft int
 }
 
-// runRank executes one leased shard rank end to end: elaborate a
-// fresh design, run the engine with the rank's derived seed, publish
-// coverage at every interval boundary, heartbeat in the background,
-// and deliver the final report + coverage + telemetry lane.
+// runRank executes one leased shard rank end to end: build an engine
+// on the campaign's model (prepared once per worker), run it with the
+// rank's derived seed, publish coverage at every interval boundary,
+// heartbeat in the background, and deliver the final report + coverage
+// + telemetry lane.
 func (w *worker) runRank(ctx context.Context, lr LeaseResponse) error {
-	d, err := w.bench.Elaborate()
-	if err != nil {
-		return err
+	if w.model == nil {
+		d, err := w.bench.Elaborate()
+		if err != nil {
+			return err
+		}
+		if w.model, err = core.Prepare(d, specConfig(w.spec, 0)); err != nil {
+			return err
+		}
 	}
 
 	// The rank's telemetry lane: a lane observer over a local buffer,
@@ -344,7 +353,7 @@ func (w *worker) runRank(ctx context.Context, lr LeaseResponse) error {
 		}
 	}
 
-	eng, err := core.New(d, w.properties, wc)
+	eng, err := core.NewFromModel(w.model, w.properties, wc)
 	if err != nil {
 		return err
 	}

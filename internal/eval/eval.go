@@ -19,10 +19,7 @@ import (
 	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/designs"
-	"repro/internal/elab"
 	"repro/internal/fuzzers"
-	"repro/internal/logic"
-	"repro/internal/sim"
 )
 
 // FuzzerNames lists the tools compared, in the paper's order.
@@ -65,59 +62,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// buildGraph elaborates a benchmark and constructs its CFG with the
-// reset deasserted, returning design and graph.
-func buildGraph(b *designs.Benchmark, opts cfg.Options) (*elab.Design, *cfg.Partition, error) {
+// prepare elaborates a benchmark and builds its static model; the
+// model's partition is the reference coverage graph every fuzzer is
+// measured against.
+func prepare(b *designs.Benchmark, opts cfg.Options) (*core.Model, error) {
 	d, err := b.Elaborate()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	s, err := sim.New(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	info := sim.DetectClockReset(d)
-	if err := s.ApplyReset(info, 2); err != nil {
-		return nil, nil, err
-	}
-	if opts.Pin == nil {
-		opts.Pin = map[string]logic.BV{}
-	}
-	if info.Reset >= 0 {
-		v := logic.Ones(1)
-		if !info.ActiveLow {
-			v = logic.Zero(1)
-		}
-		opts.Pin[d.Signals[info.Reset].Name] = v
-	}
-	reset := map[int]logic.BV{}
-	for _, cr := range cfg.ControlRegisters(d) {
-		reset[cr.Sig.Index] = s.Get(cr.Sig.Index)
-	}
-	tr, err := cfg.BuildTransition(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := cfg.BuildPartition(d, tr, reset, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, g, nil
+	return core.Prepare(d, core.Config{CFG: opts})
 }
 
-// runFuzzerOnBenchmark runs one named fuzzer on a benchmark.
-func runFuzzerOnBenchmark(name string, b *designs.Benchmark, g *cfg.Partition,
-	d *elab.Design, budget uint64, seed int64, c Config) (*fuzzers.Result, error) {
+// runFuzzerOnBenchmark runs one named fuzzer on a benchmark's model.
+func runFuzzerOnBenchmark(name string, b *designs.Benchmark, m *core.Model,
+	budget uint64, seed int64, c Config) (*fuzzers.Result, error) {
 	fc := fuzzers.Config{
 		MaxVectors:  budget,
 		Seed:        seed,
 		CurveStride: budget / 100,
-		Graph:       g,
+		Graph:       m.Partition(),
 		Properties:  b.Properties,
 	}
+	d := m.Design()
 	switch name {
 	case "symbfuzz":
-		return fuzzers.RunSymbFuzz(d, fc, core.Config{
+		return fuzzers.RunSymbFuzz(m, fc, core.Config{
 			Interval:              c.Interval,
 			Threshold:             c.Threshold,
 			UseSnapshots:          true,
@@ -154,11 +123,11 @@ func RunTable1(c Config) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, ip := range designs.AllIPs() {
 		b := designs.IPBenchmark(ip, true)
-		d, g, err := buildGraph(b, cfg.Options{})
+		m, err := prepare(b, cfg.Options{})
 		if err != nil {
 			return nil, err
 		}
-		res, err := runFuzzerOnBenchmark("symbfuzz", b, g, d, c.BudgetIP, c.Seed, c)
+		res, err := runFuzzerOnBenchmark("symbfuzz", b, m, c.BudgetIP, c.Seed, c)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +162,7 @@ func RunTable2(c Config) ([]Table2Row, error) {
 	found := map[string]map[string]bool{} // bug ID -> fuzzer -> found
 	for _, ip := range designs.AllIPs() {
 		b := designs.IPBenchmark(ip, true)
-		d, g, err := buildGraph(b, cfg.Options{})
+		m, err := prepare(b, cfg.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +171,7 @@ func RunTable2(c Config) ([]Table2Row, error) {
 				continue // Table 2 compares the four fuzzers
 			}
 			for run := 0; run < c.Runs; run++ {
-				res, err := runFuzzerOnBenchmark(fz, b, g, d, c.BudgetIP, c.Seed+int64(run*1009), c)
+				res, err := runFuzzerOnBenchmark(fz, b, m, c.BudgetIP, c.Seed+int64(run*1009), c)
 				if err != nil {
 					return nil, err
 				}
@@ -214,11 +183,6 @@ func RunTable2(c Config) ([]Table2Row, error) {
 					if res.FoundBug(p.Name) {
 						found[bug.ID][fz] = true
 					}
-				}
-				// A fresh design per run: simulator state is per-design.
-				d, err = b.Elaborate()
-				if err != nil {
-					return nil, err
 				}
 			}
 		}
@@ -253,11 +217,11 @@ func RunTable3(c Config) ([]Table3Row, error) {
 	var rows []Table3Row
 	for i, b := range benches {
 		start := time.Now()
-		_, g, err := buildGraph(b, opts[i])
+		m, err := prepare(b, opts[i])
 		if err != nil {
 			return nil, err
 		}
-		st := g.Stats()
+		st := m.Partition().Stats()
 		rows = append(rows, Table3Row{
 			Benchmark:   b.Name,
 			LoC:         b.LoC,
@@ -310,19 +274,19 @@ func RunFigure4(c Config) (*Figure4, error) {
 	ipGrid := makeGrid(perIP, gridN)
 	grid := makeGrid(perIP*uint64(len(ips)), gridN)
 
-	// Pre-build each IP's benchmark and reference graph once.
+	// Pre-build each IP's benchmark and static model once.
 	type target struct {
 		b *designs.Benchmark
-		g *cfg.Partition
+		m *core.Model
 	}
 	var targets []target
 	for _, ip := range ips {
 		b := designs.IPBenchmark(ip, true)
-		_, g, err := buildGraph(b, cfg.Options{})
+		m, err := prepare(b, cfg.Options{})
 		if err != nil {
 			return nil, err
 		}
-		targets = append(targets, target{b: b, g: g})
+		targets = append(targets, target{b: b, m: m})
 	}
 
 	raw := map[string][][]float64{}
@@ -330,11 +294,7 @@ func RunFigure4(c Config) (*Figure4, error) {
 		for run := 0; run < c.Runs; run++ {
 			total := make([]float64, gridN)
 			for ti, tgt := range targets {
-				d, err := tgt.b.Elaborate()
-				if err != nil {
-					return nil, err
-				}
-				res, err := runFuzzerOnBenchmark(fz, tgt.b, tgt.g, d, perIP,
+				res, err := runFuzzerOnBenchmark(fz, tgt.b, tgt.m, perIP,
 					c.Seed+int64(run*131+ti*17), c)
 				if err != nil {
 					return nil, err
@@ -461,11 +421,11 @@ func RunSection54(c Config) ([]Section54Row, error) {
 	c = c.withDefaults()
 	var rows []Section54Row
 	for _, b := range designs.CoreBenchmarks(true) {
-		d, g, err := buildGraph(b, cfg.Options{})
+		m, err := prepare(b, cfg.Options{})
 		if err != nil {
 			return nil, err
 		}
-		res, err := runFuzzerOnBenchmark("symbfuzz", b, g, d, c.BudgetIP, c.Seed, c)
+		res, err := runFuzzerOnBenchmark("symbfuzz", b, m, c.BudgetIP, c.Seed, c)
 		if err != nil {
 			return nil, err
 		}

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	symbfuzz "repro"
 	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/dist"
@@ -59,7 +60,7 @@ func baseline(t *testing.T, seed int64) *par.Report {
 		Interval: s.Interval, Threshold: s.Threshold, MaxVectors: s.MaxVectors,
 		Seed: s.Seed, UseSnapshots: s.UseSnapshots, ContinueAfterCoverage: s.ContinueAfterCoverage,
 	}
-	r, err := par.Run(b.Elaborate, b.Properties, par.Config{Config: cc, Workers: s.Workers})
+	r, err := symbfuzz.FuzzParallel(b, par.Config{Config: cc, Workers: s.Workers})
 	if err != nil {
 		t.Fatalf("par baseline (seed %d): %v", seed, err)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	symbfuzz "repro"
 	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/dist"
@@ -423,7 +424,7 @@ func TestProfiledLedgerMatchesPar(t *testing.T) {
 	}
 	base := prof.New(prof.Options{})
 	cc.Prof = base
-	if _, err := par.Run(b.Elaborate, b.Properties, par.Config{Config: cc, Workers: s.Workers}); err != nil {
+	if _, err := symbfuzz.FuzzParallel(b, par.Config{Config: cc, Workers: s.Workers}); err != nil {
 		t.Fatalf("par: %v", err)
 	}
 	want := prof.NewDump(b.Name, s.Seed, base.Ledgers())

@@ -348,14 +348,15 @@ func (u *uvmRandom) Run() (*Result, error) {
 }
 
 // RunSymbFuzz adapts the core engine to the baseline Result shape so
-// the evaluation harness treats all tools uniformly.
-func RunSymbFuzz(d *elab.Design, c Config, engineCfg core.Config) (*Result, error) {
+// the evaluation harness treats all tools uniformly. The engine runs on
+// the prepared model m, whose partition is typically also c.Graph.
+func RunSymbFuzz(m *core.Model, c Config, engineCfg core.Config) (*Result, error) {
 	engineCfg.MaxVectors = c.withDefaults().MaxVectors
 	engineCfg.Seed = c.Seed
 	if engineCfg.CurveStride == 0 {
 		engineCfg.CurveStride = c.withDefaults().CurveStride
 	}
-	eng, err := core.New(d, c.Properties, engineCfg)
+	eng, err := core.NewFromModel(m, c.Properties, engineCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/elab"
 	"repro/internal/hdl"
-	"repro/internal/logic"
 	"repro/internal/props"
-	"repro/internal/sim"
 )
 
 // A DUV with one shallow bug (reachable by anything) and one deep bug
@@ -61,6 +59,7 @@ func deepProp() *props.Property {
 
 type fixture struct {
 	d *elab.Design
+	m *core.Model
 	g *cfg.Partition
 }
 
@@ -74,29 +73,11 @@ func setup(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(d)
+	m, err := core.Prepare(d, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := sim.DetectClockReset(d)
-	if err := s.ApplyReset(info, 2); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := cfg.BuildTransition(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reset := map[int]logic.BV{}
-	for _, cr := range cfg.ControlRegisters(d) {
-		reset[cr.Sig.Index] = s.Get(cr.Sig.Index)
-	}
-	g, err := cfg.BuildPartition(d, tr, reset, cfg.Options{
-		Pin: map[string]logic.BV{"rst_ni": logic.Ones(1)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{d: d, g: g}
+	return &fixture{d: d, m: m, g: m.Partition()}
 }
 
 func config(f *fixture, budget uint64, seed int64) Config {
@@ -173,7 +154,7 @@ func TestShallowBugFoundByAll(t *testing.T) {
 
 func TestSymbFuzzAdapterFindsDeepBug(t *testing.T) {
 	f := setup(t)
-	res, err := RunSymbFuzz(f.d, config(f, 30_000, 2), core.Config{
+	res, err := RunSymbFuzz(f.m, config(f, 30_000, 2), core.Config{
 		Interval: 50, Threshold: 2, UseSnapshots: true,
 	})
 	if err != nil {
@@ -189,7 +170,7 @@ func TestSymbFuzzAdapterFindsDeepBug(t *testing.T) {
 
 func TestGuidedBeatsRandomOnCoverage(t *testing.T) {
 	f := setup(t)
-	symb, err := RunSymbFuzz(f.d, config(f, 6000, 11), core.Config{
+	symb, err := RunSymbFuzz(f.m, config(f, 6000, 11), core.Config{
 		Interval: 50, Threshold: 2, UseSnapshots: true,
 	})
 	if err != nil {

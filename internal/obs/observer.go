@@ -150,6 +150,7 @@ type Observer struct {
 	cCkpts     *Counter
 	cCkptBytes *Counter
 	cCovDrop   *Counter
+	cCovOver   *Counter
 	cVCDBytes  *Counter
 	hVCD       *Histogram
 	cStagnant  *Counter
@@ -204,6 +205,7 @@ func New(opts Options) *Observer {
 	o.cCkpts = reg.Counter(p("checkpoints"))
 	o.cCkptBytes = reg.Counter(p("checkpoint_bytes"))
 	o.cCovDrop = reg.Counter(p("cov_events_dropped"))
+	o.cCovOver = reg.Counter(p("cov_table_overflow"))
 	o.cVCDBytes = reg.Counter(p("vcd_bytes"))
 	o.hVCD = reg.Histogram(p("vcd_roundtrip_ns"), nil)
 	o.cStagnant = reg.Counter(p("stagnation_events"))
@@ -651,6 +653,15 @@ func (o *Observer) CovDropped(n int64, vectors uint64, points int) {
 	}
 	o.cCovDrop.Add(n)
 	o.emit(&Event{TNS: o.Now(), Type: EvCovDropped, Vectors: vectors, Points: points, Count: n})
+}
+
+// CovOverflow records n coverage observations that found a bounded
+// monitor table full (cov.CFGCov.Overflow).
+func (o *Observer) CovOverflow(n int64) {
+	if o == nil {
+		return
+	}
+	o.cCovOver.Add(n)
 }
 
 // VCDRoundTrip records one interval's VCD write+read round trip.

@@ -49,6 +49,7 @@ func MergeReports(part *cfg.Partition, covs []*cov.CFGCov, reports []*core.Repor
 		m.SlicedVars += r.SlicedVars
 		m.InfeasibleTargets += r.InfeasibleTargets
 		m.CovEventsDropped += r.CovEventsDropped
+		m.CovTableOverflow += r.CovTableOverflow
 		m.SolveCacheHits += r.SolveCacheHits
 		m.SolveCacheMisses += r.SolveCacheMisses
 		if r.Interrupted {
@@ -112,6 +113,7 @@ func FinalizeMetrics(o *obs.Observer, m *core.Report) {
 	reg.Counter("stagnation_events").Add(int64(m.SymbolicInvocations))
 	reg.Counter("bugs_found").Add(int64(len(m.Bugs)))
 	reg.Counter("cov_events_dropped").Add(int64(m.CovEventsDropped))
+	reg.Counter("cov_table_overflow").Add(int64(m.CovTableOverflow))
 	reg.Counter("checkpoint_bytes").Add(m.Timings.CheckpointBytes)
 	reg.Counter("prune_skips").Add(int64(m.PrunedSolves))
 	reg.Counter("slice_skips").Add(int64(m.InfeasibleTargets))

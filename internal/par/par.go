@@ -1,6 +1,6 @@
 // Package par is the parallel campaign orchestrator: N core.Engine
-// workers run concurrently — each with its own elaborated design
-// instance, simulator, and seed-derived RNG — against a shared global
+// workers run concurrently — all on one read-only core.Model, each
+// with its own simulator and seed-derived RNG — against a shared global
 // coverage frontier, a statically sharded work queue over the CFG edge
 // space, and a cross-worker solved-plan cache.
 //
@@ -41,8 +41,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cov"
-	"repro/internal/elab"
-	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/props"
 )
@@ -120,18 +118,21 @@ func WorkerSeed(base int64, rank int) int64 {
 	return base + int64(rank)*0x9E3779B9
 }
 
-// Run executes a parallel campaign. factory elaborates one fresh
-// design instance per worker (instances must not share mutable state);
-// properties are shared (immutable ASTs — checker state is per-env).
-func Run(factory func() (*elab.Design, error), properties []*props.Property, c Config) (*Report, error) {
-	return RunContext(context.Background(), factory, properties, c)
+// Run executes a parallel campaign. Every worker's engine is built on
+// the one prepared model m (core.NewFromModel), so the static CFG and
+// pruning are computed once per campaign, not once per worker; c must
+// carry the CFG, ResetCycles and DisablePruning settings m was prepared
+// with. properties are shared (immutable ASTs — checker state is
+// per-env).
+func Run(m *core.Model, properties []*props.Property, c Config) (*Report, error) {
+	return RunContext(context.Background(), m, properties, c)
 }
 
 // RunContext is Run with cancellation: when ctx is cancelled every
 // worker stops at its next interval boundary, the partial per-worker
 // reports are merged as usual, and the merged report carries
 // Interrupted=true.
-func RunContext(ctx context.Context, factory func() (*elab.Design, error), properties []*props.Property, c Config) (*Report, error) {
+func RunContext(ctx context.Context, m *core.Model, properties []*props.Property, c Config) (*Report, error) {
 	n := c.Workers
 	if n < 1 {
 		n = 1
@@ -144,18 +145,12 @@ func RunContext(ctx context.Context, factory func() (*elab.Design, error), prope
 		cache = NewSolveCache()
 	}
 
-	// fr is assigned after the engines exist (its shape comes from the
-	// first worker's partition); the Sync closures below only run once
-	// Run is called on each engine, strictly after the assignment.
-	var fr *Frontier
+	part := m.Partition()
+	fr := NewFrontier(len(part.Graphs), part.TotalEdges(), n, c.StopAtPoints, c.StopWhenAllCovered, baseObs)
 
 	engines := make([]*core.Engine, n)
 	seeds := make([]int64, n)
 	for r := 0; r < n; r++ {
-		d, err := factory()
-		if err != nil {
-			return nil, fmt.Errorf("par: worker %d: %w", r, err)
-		}
 		wc := base
 		wc.Seed = WorkerSeed(base.Seed, r)
 		wc.SharedSeed = base.Seed
@@ -165,15 +160,6 @@ func RunContext(ctx context.Context, factory func() (*elab.Design, error), prope
 		}
 		if cache != nil {
 			wc.PlanCache = cache
-		}
-		if wc.CFG.Pin != nil {
-			// Each engine writes its reset pin into this map during
-			// construction; give every worker its own copy.
-			pin := make(map[string]logic.BV, len(wc.CFG.Pin))
-			for k, v := range wc.CFG.Pin {
-				pin[k] = v
-			}
-			wc.CFG.Pin = pin
 		}
 		if c.SplitBudget && n > 1 {
 			share := base.MaxVectors / uint64(n)
@@ -191,19 +177,12 @@ func RunContext(ctx context.Context, factory func() (*elab.Design, error), prope
 			fr.Publish(rank, cv, rep.Vectors)
 			return fr.ShouldStop()
 		}
-		eng, err := core.New(d, properties, wc)
+		eng, err := core.NewFromModel(m, properties, wc)
 		if err != nil {
 			return nil, fmt.Errorf("par: worker %d: %w", r, err)
 		}
 		engines[r] = eng
 	}
-
-	part := engines[0].Graph()
-	edgesTotal := 0
-	for _, g := range part.Graphs {
-		edgesTotal += len(g.Edges)
-	}
-	fr = NewFrontier(len(part.Graphs), edgesTotal, n, c.StopAtPoints, c.StopWhenAllCovered, baseObs)
 
 	baseObs.CampaignStart(0, 0)
 	start := time.Now()

@@ -20,6 +20,24 @@ func mailbox() *designs.Benchmark {
 	return designs.IPBenchmark(designs.Mailbox(), true)
 }
 
+// runBench elaborates b, prepares its model once and runs the campaign.
+func runBench(t *testing.T, b *designs.Benchmark, c Config) *Report {
+	t.Helper()
+	d, err := b.Elaborate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Prepare(d, c.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(m, b.Properties, c)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return rep
+}
+
 func testCoreConfig(seed int64) core.Config {
 	return core.Config{
 		Interval:              50,
@@ -41,10 +59,7 @@ func runTraced(t *testing.T, workers int, seed int64) (*Report, []string) {
 	b := mailbox()
 	cc := testCoreConfig(seed)
 	cc.Obs = o
-	rep, err := Run(b.Elaborate, b.Properties, Config{Config: cc, Workers: workers})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	rep := runBench(t, b, Config{Config: cc, Workers: workers})
 	if err := tr.Close(); err != nil {
 		t.Fatalf("tracer close: %v", err)
 	}
@@ -165,10 +180,7 @@ func TestSingleWorkerMatchesEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prep, err := Run(b.Elaborate, b.Properties, Config{Config: testCoreConfig(11), Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prep := runBench(t, b, Config{Config: testCoreConfig(11), Workers: 1})
 	if prep.Workers != 1 || len(prep.PerWorker) != 1 {
 		t.Fatalf("want 1 worker, got %d", prep.Workers)
 	}
@@ -266,10 +278,7 @@ func TestStopAtPoints(t *testing.T) {
 	b := mailbox()
 	cc := testCoreConfig(3)
 	cc.MaxVectors = 50000
-	rep, err := Run(b.Elaborate, b.Properties, Config{Config: cc, Workers: 2, StopAtPoints: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runBench(t, b, Config{Config: cc, Workers: 2, StopAtPoints: 10})
 	if rep.Merged.FinalPoints < 10 {
 		t.Fatalf("stopped below target: %d points", rep.Merged.FinalPoints)
 	}

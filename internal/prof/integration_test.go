@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	symbfuzz "repro"
 	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/par"
@@ -173,7 +174,7 @@ func TestParallelLedgerDeterminism(t *testing.T) {
 		cc := testConfig(7)
 		base := prof.New(prof.Options{})
 		cc.Prof = base
-		_, err := par.Run(b.Elaborate, b.Properties, par.Config{Config: cc, Workers: 2})
+		_, err := symbfuzz.FuzzParallel(b, par.Config{Config: cc, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -246,14 +246,23 @@ type ParallelReport = par.Report
 // and a cross-worker solved-plan cache. The merged report is
 // deterministic for a fixed seed set regardless of scheduling.
 func FuzzParallel(b *Benchmark, c ParallelConfig) (*ParallelReport, error) {
-	return par.Run(b.Elaborate, b.Properties, c)
+	return FuzzParallelContext(context.Background(), b, c)
 }
 
 // FuzzParallelContext is FuzzParallel with cancellation: every worker
 // stops at its next interval boundary and the merged report carries
-// Interrupted.
+// Interrupted. The design is elaborated and its static model prepared
+// once; every worker runs on that one model.
 func FuzzParallelContext(ctx context.Context, b *Benchmark, c ParallelConfig) (*ParallelReport, error) {
-	return par.RunContext(ctx, b.Elaborate, b.Properties, c)
+	d, err := b.Elaborate()
+	if err != nil {
+		return nil, err
+	}
+	m, err := core.Prepare(d, c.Config)
+	if err != nil {
+		return nil, err
+	}
+	return par.RunContext(ctx, m, b.Properties, c)
 }
 
 // ---- benchmark designs (§5 evaluation targets) ----
@@ -301,36 +310,14 @@ func RunBaseline(name string, b *Benchmark, c BaselineConfig) (*FuzzerResult, er
 		return nil, err
 	}
 	if c.Graph == nil {
-		s, err := sim.New(d)
+		m, err := core.Prepare(d, Config{
+			CFG:            GraphOptions{MaxNodes: 256, MaxSuccessors: 8},
+			DisablePruning: true,
+		})
 		if err != nil {
 			return nil, err
 		}
-		info := sim.DetectClockReset(d)
-		if err := s.ApplyReset(info, 2); err != nil {
-			return nil, err
-		}
-		reset := map[int]BV{}
-		for _, cr := range cfg.ControlRegisters(d) {
-			reset[cr.Sig.Index] = s.Get(cr.Sig.Index)
-		}
-		pin := map[string]BV{}
-		if info.Reset >= 0 {
-			v := logic.Ones(1)
-			if !info.ActiveLow {
-				v = logic.Zero(1)
-			}
-			pin[d.Signals[info.Reset].Name] = v
-		}
-		g, err := BuildGraph(d, reset, GraphOptions{Pin: pin, MaxNodes: 256, MaxSuccessors: 8})
-		if err != nil {
-			return nil, err
-		}
-		c.Graph = g
-		// A fresh design: the probe simulation above must not leak.
-		d, err = b.Elaborate()
-		if err != nil {
-			return nil, err
-		}
+		c.Graph = m.Partition()
 	}
 	if c.Properties == nil {
 		c.Properties = b.Properties
