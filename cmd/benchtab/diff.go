@@ -10,13 +10,19 @@ import (
 )
 
 // benchtab -diff is the repo's perf-regression gate: it compares any
-// two bench records of the same schema (BENCH_obs.json,
-// BENCH_slice.json, BENCH_flight.json, BENCH_prof.json, ...) metric by
-// metric, with each schema declaring which of its fields are
-// performance metrics and which direction is better. A metric that
-// moves the wrong way past -warn-tol prints a warning; past -fail-tol
-// the diff exits nonzero — warn-then-fail, so CI can keep a soft gate
-// while the tolerance is tuned.
+// two bench records of the same schema (BENCH_slice.json,
+// BENCH_flight.json, BENCH_prof.json, ...) metric by metric, with each
+// schema declaring which of its fields are performance metrics and
+// which direction is better. A metric that moves the wrong way past
+// warnTol prints a warning; past failTol the diff exits nonzero —
+// warn-then-fail, so CI can keep a soft gate while the tolerance is
+// tuned.
+
+// The relative regressions that warn and fail.
+const (
+	warnTol = 0.10
+	failTol = 0.25
+)
 
 // metricDef declares one gated metric: a dotted JSON path ("*" matches
 // any array index) and the direction of goodness.
@@ -29,15 +35,6 @@ type metricDef struct {
 // here (counts, byte sizes, notes, wall-clock raw values already
 // summarized by a ratio) are informational, not gated.
 var diffMetrics = map[string][]metricDef{
-	"symbfuzz-bench-obs/v1": {
-		{"vectors_per_sec", true},
-		{"cycles_per_sec", true},
-		{"solves_per_sec", true},
-		{"mean_solve_ns", false},
-		{"mean_blast_ns", false},
-		{"mean_interval_ns", false},
-		{"mean_rollback_ns", false},
-	},
 	"symbfuzz-bench-slice/v1": {
 		{"rows.*.blast_reduction", true},
 	},
@@ -71,7 +68,7 @@ var diffMetrics = map[string][]metricDef{
 
 // runDiff compares baseline -> candidate. Returns true when at least
 // one metric regressed past failTol.
-func runDiff(basePath, newPath string, warnTol, failTol float64, w io.Writer) (bool, error) {
+func runDiff(basePath, newPath string, w io.Writer) (bool, error) {
 	base, baseSchema, err := readRecord(basePath)
 	if err != nil {
 		return false, err
@@ -86,9 +83,6 @@ func runDiff(basePath, newPath string, warnTol, failTol float64, w io.Writer) (b
 	metrics, ok := diffMetrics[baseSchema]
 	if !ok {
 		return false, fmt.Errorf("no metric registry for schema %q", baseSchema)
-	}
-	if failTol < warnTol {
-		return false, fmt.Errorf("-fail-tol (%.2f) must be >= -warn-tol (%.2f)", failTol, warnTol)
 	}
 
 	fmt.Fprintf(w, "perf diff (%s): %s -> %s  [warn > %.0f%%, fail > %.0f%%]\n",

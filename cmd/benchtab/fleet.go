@@ -1,18 +1,10 @@
 package main
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"os"
 	"runtime"
-	"sync"
-	"time"
 
-	"repro/internal/designs"
 	"repro/internal/dist"
 	"repro/internal/fleet"
 	"repro/internal/par"
@@ -30,8 +22,7 @@ import (
 // every interval vs deduplicated deltas flushed in batches, with
 // empty deltas never sent at all. Arm two multiplexes several named
 // campaigns on one fleet server and records the aggregate vector
-// throughput across all ranks. The record is written as
-// BENCH_fleet.json.
+// throughput across all ranks.
 
 // FleetRow is one design's sync-publish vs delta-batch wire
 // measurement.
@@ -42,10 +33,11 @@ type FleetRow struct {
 
 	// SyncBytes / SyncCalls tally the /v1/publish request payloads of
 	// the ablation arm; BatchBytes / BatchCalls tally the /v1/batch
-	// request payloads of the default arm (its residual /v1/publish
-	// traffic — the final full-coverage report each rank ships at
-	// detach — is counted in BatchBytes too, so the ratio is honest
-	// about everything the batched worker sends on the publish plane).
+	// request payloads of the default arm. The batched worker sends no
+	// /v1/publish at all (it drains its last batch, then ships its
+	// full coverage on /v1/report, outside both tallies), but any
+	// publish it did send would count in BatchBytes, so the ratio
+	// covers everything the batched worker sends on the publish plane.
 	SyncCalls  int64 `json:"sync_calls"`
 	SyncBytes  int64 `json:"sync_bytes"`
 	BatchCalls int64 `json:"batch_calls"`
@@ -64,10 +56,10 @@ type FleetRow struct {
 
 // FleetBench is the BENCH_fleet.json record.
 type FleetBench struct {
-	Schema string `json:"schema"`
-	Cores  int    `json:"cores"`
-	Seed   int64  `json:"seed"`
-	Note   string `json:"note"`
+	header
+	Cores int    `json:"cores"`
+	Seed  int64  `json:"seed"`
+	Note  string `json:"note"`
 
 	Rows []FleetRow `json:"rows"`
 
@@ -81,45 +73,30 @@ type FleetBench struct {
 	FleetVectorsPerSec float64 `json:"fleet_vectors_per_sec"`
 }
 
-var fleetTargets = []struct {
-	name   string
-	budget uint64
-}{
-	{"scmi_mailbox", 3000},
-	{"bus_arb", 8000},
-}
+const fleetWorkers = 2
 
-func runFleetExp(seed int64, outPath string, w io.Writer) error {
-	const workers = 2
-	bench := FleetBench{
-		Schema: "symbfuzz-bench-fleet/v1",
-		Cores:  runtime.NumCPU(),
-		Seed:   seed,
+func runFleet(seed int64, _ int, w io.Writer) (record, error) {
+	rows, err := rowsFor(wireTargets, func(t target) (FleetRow, error) { return measureWire(t, seed) })
+	if err != nil {
+		return nil, err
+	}
+	rec := &FleetBench{
+		Cores: runtime.NumCPU(),
+		Seed:  seed,
 		Note: "publish_reduction compares /v1/publish full-snapshot bytes (SyncPublish ablation) " +
 			"against /v1/batch delta bytes for the identical fixed-budget campaign; " +
 			"fleet_vectors_per_sec is aggregate throughput of concurrent campaigns multiplexed " +
 			"on one fleet coordinator over loopback",
+		Rows: rows,
+	}
+	if err := rec.measureAggregate(seed); err != nil {
+		return nil, fmt.Errorf("aggregate: %w", err)
 	}
 
-	for _, tgt := range fleetTargets {
-		if _, ok := designs.FindBenchmark(tgt.name); !ok {
-			return fmt.Errorf("fleet: unknown benchmark %q", tgt.name)
-		}
-		row, err := measureWire(tgt.name, tgt.budget, workers, seed)
-		if err != nil {
-			return fmt.Errorf("fleet: %s: %w", tgt.name, err)
-		}
-		bench.Rows = append(bench.Rows, *row)
-	}
-
-	if err := measureFleetAggregate(&bench, seed); err != nil {
-		return fmt.Errorf("fleet: aggregate: %w", err)
-	}
-
-	fmt.Fprintf(w, "Publish wire overhead (sync full snapshots vs delta batches, %d workers, full budget)\n", workers)
+	fmt.Fprintf(w, "Publish wire overhead (sync full snapshots vs delta batches, %d workers, full budget)\n", fleetWorkers)
 	fmt.Fprintf(w, "%-16s %8s %10s %12s %10s %12s %10s %8s\n",
 		"bench", "budget", "sync rpcs", "sync bytes", "batch rpcs", "batch bytes", "reduction", "parity")
-	for _, r := range bench.Rows {
+	for _, r := range rec.Rows {
 		parity := "ok"
 		if !r.MergedEqual {
 			parity = "MISMATCH"
@@ -129,40 +106,39 @@ func runFleetExp(seed int64, outPath string, w io.Writer) error {
 			r.PublishReduction, parity)
 	}
 	fmt.Fprintf(w, "\nFleet aggregate: %d campaigns x %d workers, %d vectors in %.2fs = %.0f vectors/sec\n",
-		bench.FleetCampaigns, bench.FleetWorkers, bench.FleetTotalVectors,
-		float64(bench.FleetWallNS)/1e9, bench.FleetVectorsPerSec)
-
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(out, '\n'), 0o644)
+		rec.FleetCampaigns, rec.FleetWorkers, rec.FleetTotalVectors,
+		float64(rec.FleetWallNS)/1e9, rec.FleetVectorsPerSec)
+	return rec, nil
 }
 
 // measureWire runs the same campaign on both publish encodings and
 // tallies what crossed the wire on the publish plane.
-func measureWire(benchName string, budget uint64, workers int, seed int64) (*FleetRow, error) {
-	spec := dist.CampaignSpec{
-		Bench:                 benchName,
-		Interval:              100,
-		Threshold:             2,
-		MaxVectors:            budget,
-		Seed:                  seed,
-		Workers:               workers,
-		UseSnapshots:          true,
-		ContinueAfterCoverage: true,
+func measureWire(t target, seed int64) (FleetRow, error) {
+	spec := campaignSpec(t.name, t.budget, seed, fleetWorkers)
+	arm := func(syncPublish bool) (*par.Report, []prof.WireEntry, error) {
+		var ledger []prof.WireEntry
+		reps, _, err := loopback([]dist.CoordConfig{{Spec: spec}}, false,
+			func(wc *dist.WorkerConfig) { wc.SyncPublish = syncPublish },
+			func(srv *fleet.Server) {
+				if cs, err := srv.State(""); err == nil {
+					ledger = cs.WireLedger()
+				}
+			})
+		if err != nil {
+			return nil, nil, err
+		}
+		return reps[0], ledger, nil
+	}
+	syncRep, syncWire, err := arm(true)
+	if err != nil {
+		return FleetRow{}, fmt.Errorf("sync arm: %w", err)
+	}
+	batchRep, batchWire, err := arm(false)
+	if err != nil {
+		return FleetRow{}, fmt.Errorf("batch arm: %w", err)
 	}
 
-	syncRep, syncWire, err := runWireArm(spec, true)
-	if err != nil {
-		return nil, fmt.Errorf("sync arm: %w", err)
-	}
-	batchRep, batchWire, err := runWireArm(spec, false)
-	if err != nil {
-		return nil, fmt.Errorf("batch arm: %w", err)
-	}
-
-	row := &FleetRow{Bench: benchName, Budget: budget, Workers: workers}
+	row := FleetRow{Bench: t.name, Budget: t.budget, Workers: fleetWorkers}
 	for _, e := range syncWire {
 		if e.RPC == "publish" {
 			row.SyncCalls += e.Calls
@@ -185,136 +161,32 @@ func measureWire(benchName string, budget uint64, workers int, seed int64) (*Fle
 	return row, nil
 }
 
-// runWireArm hosts the campaign on a one-campaign fleet over loopback,
-// runs its workers with the chosen publish encoding, and returns the
-// merged report plus the campaign's wire ledger.
-func runWireArm(spec dist.CampaignSpec, syncPublish bool) (*par.Report, []prof.WireEntry, error) {
-	co, err := fleet.NewServer("127.0.0.1:0", fleet.Config{}, dist.CoordConfig{Spec: spec})
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errs := make([]error, spec.Workers)
-	for i := 0; i < spec.Workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = dist.RunWorker(ctx, dist.WorkerConfig{
-				Addr:        co.Addr(),
-				WorkerID:    fmt.Sprintf("wire-w%d", i),
-				RankHint:    i,
-				SyncPublish: syncPublish,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, werr := range errs {
-		if werr != nil {
-			return nil, nil, fmt.Errorf("worker %d: %w", i, werr)
-		}
-	}
-	rep, err := co.WaitCampaign(ctx, "")
-	cs, _ := co.State("")
-	ledger := cs.WireLedger()
-	sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	_ = co.Shutdown(sctx)
-	cancel()
-	return rep, ledger, err
-}
-
-// measureFleetAggregate multiplexes campaigns on one fleet server and
+// measureAggregate multiplexes campaigns on one fleet server and
 // records the aggregate vector throughput.
-func measureFleetAggregate(bench *FleetBench, seed int64) error {
+func (rec *FleetBench) measureAggregate(seed int64) error {
 	const (
 		campaigns = 3
-		workers   = 2
 		budget    = 2000
 	)
-	dir, err := os.MkdirTemp("", "benchfleet")
+	ccs := make([]dist.CoordConfig, campaigns)
+	for i := range ccs {
+		ccs[i] = dist.CoordConfig{
+			Name: fmt.Sprintf("bench-%d", i),
+			Spec: campaignSpec("scmi_mailbox", budget, seed+int64(i), fleetWorkers),
+		}
+	}
+	reps, wall, err := loopback(ccs, false, nil, nil)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-
-	srv, err := fleet.NewServer("127.0.0.1:0", fleet.Config{JournalDir: dir})
-	if err != nil {
-		return err
+	rec.FleetCampaigns = campaigns
+	rec.FleetWorkers = fleetWorkers
+	rec.FleetWallNS = wall
+	for _, rep := range reps {
+		rec.FleetTotalVectors += rep.Merged.Vectors
 	}
-	defer srv.Shutdown(context.Background())
-
-	names := make([]string, campaigns)
-	start := time.Now()
-	for i := 0; i < campaigns; i++ {
-		names[i] = fmt.Sprintf("bench-%d", i)
-		req := fleet.CreateRequest{
-			Name: names[i],
-			Spec: dist.CampaignSpec{
-				Bench:                 "scmi_mailbox",
-				Interval:              100,
-				Threshold:             2,
-				MaxVectors:            budget,
-				Seed:                  seed + int64(i),
-				Workers:               workers,
-				UseSnapshots:          true,
-				ContinueAfterCoverage: true,
-			},
-		}
-		body, err := json.Marshal(req)
-		if err != nil {
-			return err
-		}
-		resp, err := http.Post("http://"+srv.Addr()+"/v1/campaigns", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusCreated {
-			return fmt.Errorf("create %s: status %d", names[i], resp.StatusCode)
-		}
-	}
-
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errs := make([]error, campaigns*workers)
-	for c := 0; c < campaigns; c++ {
-		for r := 0; r < workers; r++ {
-			wg.Add(1)
-			go func(c, r int) {
-				defer wg.Done()
-				errs[c*workers+r] = dist.RunWorker(ctx, dist.WorkerConfig{
-					Addr:     srv.Addr(),
-					Campaign: names[c],
-					WorkerID: fmt.Sprintf("agg-c%d-w%d", c, r),
-					RankHint: r,
-				})
-			}(c, r)
-		}
-	}
-	wg.Wait()
-	for i, werr := range errs {
-		if werr != nil {
-			return fmt.Errorf("worker %d: %w", i, werr)
-		}
-	}
-
-	var total uint64
-	for _, name := range names {
-		rep, err := srv.WaitCampaign(ctx, name)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		total += rep.Merged.Vectors
-	}
-	wall := time.Since(start)
-
-	bench.FleetCampaigns = campaigns
-	bench.FleetWorkers = workers
-	bench.FleetTotalVectors = total
-	bench.FleetWallNS = int64(wall)
 	if wall > 0 {
-		bench.FleetVectorsPerSec = float64(total) / wall.Seconds()
+		rec.FleetVectorsPerSec = float64(rec.FleetTotalVectors) / (float64(wall) / 1e9)
 	}
 	return nil
 }

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -16,14 +14,12 @@ import (
 // The flight experiment measures what the flight recorder costs: the
 // same fixed-budget bus_arb campaign runs with the full span layer
 // enabled (observer + JSONL tracer draining to io.Discard) and with a
-// nil observer (the engine's no-op telemetry path). Runs interleave
-// and each arm keeps its minimum wall time, so transient machine noise
-// inflates neither side. The record is written as BENCH_flight.json
-// and the experiment fails if spans cost more than 5% wall time.
+// nil observer (the engine's no-op telemetry path), interleaved by
+// minPair. It fails if spans cost more than maxOverhead.
 
 // FlightBench is the BENCH_flight.json record.
 type FlightBench struct {
-	Schema string `json:"schema"`
+	header
 	Bench  string `json:"bench"`
 	Budget uint64 `json:"budget"`
 	Runs   int    `json:"runs"`
@@ -36,110 +32,76 @@ type FlightBench struct {
 	TraceEvents   int   `json:"trace_events"`
 	TraceSpans    int   `json:"trace_spans"`
 
-	// Overhead is spans-enabled wall over spans-disabled wall (min of
-	// Runs interleaved runs per arm).
-	Overhead float64 `json:"overhead"`
-	Within5  bool    `json:"within_5pct"`
+	overhead
 }
 
-const flightBudget = 20_000
+// busArbVectors is the fixed budget of the flight and prof campaigns.
+const busArbVectors = 20_000
 
-func runFlight(seed int64, runs int, outPath string, w io.Writer) error {
-	if runs < 1 {
-		runs = 3
+// runBusArb runs one fixed-budget bus_arb campaign, its configuration
+// adjusted by set when set is non-nil, and returns the wall time of
+// Run alone.
+func runBusArb(seed int64, set func(*core.Config)) (int64, error) {
+	b := designs.BusArb()
+	d, err := b.Elaborate()
+	if err != nil {
+		return 0, err
 	}
-	b, ok := designs.FindBenchmark("bus_arb")
-	if !ok {
-		return fmt.Errorf("flight: bus_arb benchmark missing")
+	c := campaignConfig(busArbVectors, seed)
+	if set != nil {
+		set(&c)
 	}
-	cc := core.Config{
-		Interval:              100,
-		Threshold:             2,
-		MaxVectors:            flightBudget,
-		Seed:                  seed,
-		UseSnapshots:          true,
-		ContinueAfterCoverage: true,
+	eng, err := core.New(d, b.Properties, c)
+	if err != nil {
+		return 0, err
 	}
+	start := time.Now()
+	if _, err := eng.Run(); err != nil {
+		return 0, err
+	}
+	return time.Since(start).Nanoseconds(), nil
+}
 
-	campaign := func(o *obs.Observer) (int64, error) {
-		d, err := b.Elaborate()
-		if err != nil {
-			return 0, err
-		}
-		c := cc
-		c.Obs = o
-		eng, err := core.New(d, b.Properties, c)
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		if _, err := eng.Run(); err != nil {
-			return 0, err
-		}
-		return time.Since(start).Nanoseconds(), nil
-	}
-
+func runFlight(seed int64, runs int, w io.Writer) (record, error) {
 	// One counted traced run to size the trace, outside the timing arms.
 	counter := &countTracer{}
-	if _, err := campaign(obs.New(obs.Options{Tracer: counter})); err != nil {
-		return err
+	if _, err := runBusArb(seed, func(c *core.Config) { c.Obs = obs.New(obs.Options{Tracer: counter}) }); err != nil {
+		return nil, err
+	}
+	spans, plain, err := minPair(runs,
+		func() (int64, error) {
+			return runBusArb(seed, func(c *core.Config) {
+				c.Obs = obs.New(obs.Options{Tracer: obs.NewJSONLTracer(io.Discard)})
+			})
+		},
+		func() (int64, error) { return runBusArb(seed, nil) })
+	if err != nil {
+		return nil, err
 	}
 
-	minSpans, minPlain := int64(0), int64(0)
-	for i := 0; i < runs; i++ {
-		tn, err := campaign(obs.New(obs.Options{Tracer: obs.NewJSONLTracer(io.Discard)}))
-		if err != nil {
-			return err
-		}
-		pn, err := campaign(nil)
-		if err != nil {
-			return err
-		}
-		if minSpans == 0 || tn < minSpans {
-			minSpans = tn
-		}
-		if minPlain == 0 || pn < minPlain {
-			minPlain = pn
-		}
-	}
-
-	rec := FlightBench{
-		Schema: "symbfuzz-bench-flight/v1",
+	rec := &FlightBench{
 		Bench:  "bus_arb",
-		Budget: flightBudget,
+		Budget: busArbVectors,
 		Runs:   runs,
 		Cores:  runtime.NumCPU(),
 		Seed:   seed,
 		Note: "spans arm drives the full observer + causal-span layer into a JSONL tracer " +
 			"draining to io.Discard; the no-spans arm runs the engine's nil-observer no-op " +
 			"path; each arm keeps its minimum wall time over interleaved runs",
-		SpansWallNS:   minSpans,
-		NoSpansWallNS: minPlain,
+		SpansWallNS:   spans,
+		NoSpansWallNS: plain,
 		TraceEvents:   counter.events,
 		TraceSpans:    counter.spans,
-		Overhead:      float64(minSpans) / float64(minPlain),
 	}
-	rec.Within5 = rec.Overhead <= 1.05
+	gateErr := rec.gate("span layer", spans, plain)
 
 	fmt.Fprintf(w, "Flight-recorder overhead (bus_arb, %d vectors, min of %d runs per arm)\n",
-		flightBudget, runs)
+		busArbVectors, runs)
 	fmt.Fprintf(w, "  spans on:  %10.2fms  (%d events, %d spans)\n",
 		float64(rec.SpansWallNS)/1e6, rec.TraceEvents, rec.TraceSpans)
 	fmt.Fprintf(w, "  spans off: %10.2fms\n", float64(rec.NoSpansWallNS)/1e6)
 	fmt.Fprintf(w, "  overhead:  %10.4fx\n", rec.Overhead)
-
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	if !rec.Within5 {
-		return fmt.Errorf("flight: span layer costs %.2f%% wall time, budget is 5%%",
-			(rec.Overhead-1)*100)
-	}
-	return nil
+	return rec, gateErr
 }
 
 // countTracer tallies events and spans without formatting them.

@@ -1,9 +1,8 @@
 // Command benchtab regenerates the paper's evaluation tables and
-// figures (§5) at a configurable budget and prints them as text. With
-// -metrics it instead converts a campaign's telemetry snapshot (the
-// JSON written by symbfuzz -metrics / served at /status) into a
-// BENCH_obs.json performance record: vectors/sec, solves/sec, mean
-// solve latency — the repo's bench trajectory format.
+// figures (§5) at a configurable budget and prints them as text, and
+// runs the repo's record experiments, each of which writes one
+// BENCH_<exp>.json performance record stamped with the command that
+// made it.
 //
 // Usage:
 //
@@ -11,52 +10,81 @@
 //	benchtab -exp table2 -budget 60000 -runs 4
 //	benchtab -exp fig4 -budget 20000
 //	benchtab -exp all
-//	benchtab -metrics metrics.json -obs-out BENCH_obs.json
+//	benchtab -exp prof                      # writes BENCH_prof.json
+//	benchtab -exp sim -out BENCH_sim_new.json
 //
 // -diff compares two bench records of the same schema as a
-// perf-regression gate (warn past -warn-tol, exit 1 past -fail-tol):
+// perf-regression gate (warn past 10%, exit 1 past 25%):
 //
-//	benchtab -diff BENCH_obs.json -with BENCH_obs_new.json
-//	benchtab -diff BENCH_prof.json -with BENCH_prof_new.json -warn-tol 0.10 -fail-tol 0.25
+//	benchtab -diff BENCH_prof.json -with BENCH_prof_new.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/eval"
-	"repro/internal/obs"
 )
+
+// experiment is one record experiment. Each times campaigns against
+// each other, so none runs under -exp all. A timed experiment
+// interleaves two arms (minPair) and takes -runs as its runs per arm;
+// 0 means defaultRuns.
+type experiment struct {
+	name  string
+	run   func(seed int64, runs int, w io.Writer) (record, error)
+	timed bool
+}
+
+var experiments = []experiment{
+	{"par", runPar, false},
+	{"dist", runDist, false},
+	{"fleet", runFleet, false},
+	{"flight", runFlight, true},
+	{"prof", runProf, true},
+	{"watch", runWatch, true},
+	{"sim", runSim, true},
+	{"slice", runSlice, false},
+}
+
+const defaultRuns = 3
+
+func (e experiment) schema() string { return "symbfuzz-bench-" + e.name + "/v1" }
+
+// exec runs the experiment and writes its record to out (default
+// BENCH_<name>.json). A record that fails its gate is still written,
+// so the numbers that failed it can be read.
+func (e experiment) exec(seed int64, runs int, out string, w io.Writer) error {
+	switch {
+	case !e.timed && runs != 0:
+		return fmt.Errorf("-runs does not apply: %s has no interleaved arms", e.name)
+	case runs == 0:
+		runs = defaultRuns
+	}
+	if out == "" {
+		out = "BENCH_" + e.name + ".json"
+	}
+	rec, err := e.run(seed, runs, w)
+	if rec != nil {
+		if werr := writeRecord(out, e.schema(), rec); werr != nil {
+			return werr
+		}
+	}
+	return err
+}
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|table2|table3|fig4|sec54|scalability|par|dist|flight|slice|prof|sim|fleet|watch|all (par, dist, flight, slice, prof, sim, fleet and watch never run under all)")
-		budget     = flag.Uint64("budget", 0, "vector budget per IP run (0 = defaults)")
-		soc        = flag.Uint64("soc-budget", 0, "vector budget for SoC curves")
-		runs       = flag.Int("runs", 0, "runs averaged (figure 4, table 2)")
-		seed       = flag.Int64("seed", 1, "base seed")
-		metrics    = flag.String("metrics", "", "telemetry snapshot JSON (from symbfuzz -metrics); emits a perf record instead of running experiments")
-		obsOut     = flag.String("obs-out", "BENCH_obs.json", "perf record output path (with -metrics)")
-		parWorkers = flag.Int("par-workers", 4, "worker count for -exp par")
-		parOut     = flag.String("par-out", "BENCH_par.json", "scaling record output path (with -exp par)")
-		distOut    = flag.String("dist-out", "BENCH_dist.json", "wire-overhead record output path (with -exp dist)")
-		flightOut  = flag.String("flight-out", "BENCH_flight.json", "span-overhead record output path (with -exp flight)")
-		flightRuns = flag.Int("flight-runs", 3, "interleaved runs per arm for -exp flight")
-		sliceOut   = flag.String("slice-out", "BENCH_slice.json", "slicing record output path (with -exp slice)")
-		profOut    = flag.String("prof-out", "BENCH_prof.json", "profiler-overhead record output path (with -exp prof)")
-		profRuns   = flag.Int("prof-runs", 3, "interleaved runs per arm for -exp prof")
-		simOut     = flag.String("sim-out", "BENCH_sim.json", "backend-throughput record output path (with -exp sim)")
-		fleetOut   = flag.String("fleet-out", "BENCH_fleet.json", "fleet wire-reduction record output path (with -exp fleet)")
-		watchOut   = flag.String("watch-out", "BENCH_watch.json", "watch-plane overhead record output path (with -exp watch)")
-		watchRuns  = flag.Int("watch-runs", 3, "interleaved runs per arm for -exp watch")
-		simCycles  = flag.Int("sim-cycles", 2000, "vectors per design per run for -exp sim")
-		simRuns    = flag.Int("sim-runs", 3, "interleaved runs per arm for -exp sim")
-		diffBase   = flag.String("diff", "", "baseline bench record for the perf-regression gate")
-		diffWith   = flag.String("with", "", "candidate bench record to compare against -diff")
-		warnTol    = flag.Float64("warn-tol", 0.10, "relative regression that prints a warning (with -diff)")
-		failTol    = flag.Float64("fail-tol", 0.25, "relative regression that exits nonzero (with -diff)")
+		exp      = flag.String("exp", "all", "experiment: table1|table2|table3|fig4|sec54|scalability|all, or a record experiment (par|dist|fleet|flight|prof|watch|sim|slice), which never runs under all")
+		budget   = flag.Uint64("budget", 0, "vector budget per IP run (0 = defaults)")
+		soc      = flag.Uint64("soc-budget", 0, "vector budget for SoC curves")
+		runs     = flag.Int("runs", 0, "runs averaged (figure 4, table 2), or interleaved runs per arm (flight, prof, watch, sim; 0 = 3)")
+		seed     = flag.Int64("seed", 1, "base seed")
+		out      = flag.String("out", "", "record output path for a record experiment (default BENCH_<exp>.json)")
+		diffBase = flag.String("diff", "", "baseline bench record for the perf-regression gate")
+		diffWith = flag.String("with", "", "candidate bench record to compare against -diff")
 	)
 	flag.Parse()
 
@@ -65,7 +93,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchtab: -diff and -with must both be set")
 			os.Exit(2)
 		}
-		failed, err := runDiff(*diffBase, *diffWith, *warnTol, *failTol, os.Stdout)
+		failed, err := runDiff(*diffBase, *diffWith, os.Stdout)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchtab: diff:", err)
 			os.Exit(2)
@@ -76,95 +104,14 @@ func main() {
 		return
 	}
 
-	if *metrics != "" {
-		if err := emitObsBench(*metrics, *obsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab:", err)
-			os.Exit(1)
+	for _, e := range experiments {
+		if e.name == *exp {
+			if err := e.exec(*seed, *runs, *out, os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "benchtab: %s: %v\n", e.name, err)
+				os.Exit(1)
+			}
+			return
 		}
-		return
-	}
-
-	// The par experiment is wall-clock-sensitive (it times campaigns
-	// against each other), so it only runs when asked for by name —
-	// never as part of -exp all.
-	if *exp == "par" {
-		if err := runPar(*parWorkers, *seed, *parOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: par:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// Same rule for dist: it races the in-process orchestrator against
-	// the loopback wire protocol, so it is wall-clock-sensitive too.
-	if *exp == "dist" {
-		if err := runDistExp(2, *seed, *distOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: dist:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// And for flight: it times the span layer against the nil-observer
-	// no-op path, so it is wall-clock-sensitive too.
-	if *exp == "flight" {
-		if err := runFlight(*seed, *flightRuns, *flightOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: flight:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// And for prof: it times the cost-profiler against the nil-profiler
-	// no-op path, so it is wall-clock-sensitive too.
-	if *exp == "prof" {
-		if err := runProf(*seed, *profRuns, *profOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: prof:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// And for sim: it races the interpreter against the compiled
-	// backend on raw stepping throughput, so it is wall-clock-sensitive
-	// too.
-	if *exp == "sim" {
-		if err := runSimExp(*simCycles, *simRuns, *seed, *simOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: sim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// And for fleet: it compares publish-plane wire bytes between the
-	// sync-snapshot ablation and the delta-batched default, and times
-	// aggregate multi-campaign throughput — wall-clock-sensitive too.
-	if *exp == "fleet" {
-		if err := runFleetExp(*seed, *fleetOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: fleet:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// And for watch: it times the streaming health plane against the
-	// nil-hook path, so it is wall-clock-sensitive too.
-	if *exp == "watch" {
-		if err := runWatchExp(*seed, *watchRuns, *watchOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: watch:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// And for slice: it compares mean per-dispatch blast wall time
-	// between the sliced path and the DisableSlicing ablation.
-	if *exp == "slice" {
-		if err := runSlice(*seed, *sliceOut, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtab: slice:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	c := eval.Config{
@@ -237,83 +184,4 @@ func main() {
 		eval.WriteScalability(os.Stdout, s)
 		return nil
 	})
-}
-
-// ObsBench is the BENCH_obs.json performance record derived from one
-// campaign's telemetry snapshot.
-type ObsBench struct {
-	Schema string `json:"schema"`
-
-	WallNS         int64   `json:"wall_ns"`
-	Vectors        int64   `json:"vectors"`
-	Cycles         int64   `json:"cycles"`
-	CoveragePoints int64   `json:"coverage_points"`
-	VectorsPerSec  float64 `json:"vectors_per_sec"`
-	CyclesPerSec   float64 `json:"cycles_per_sec"`
-
-	SolverDispatches int64   `json:"solver_dispatches"`
-	SolvesPerSec     float64 `json:"solves_per_sec"`
-	MeanSolveNS      int64   `json:"mean_solve_ns"`
-	MeanBlastNS      int64   `json:"mean_blast_ns"`
-	MeanIntervalNS   int64   `json:"mean_interval_ns"`
-
-	Rollbacks       int64 `json:"rollbacks"`
-	MeanRollbackNS  int64 `json:"mean_rollback_ns"`
-	Checkpoints     int64 `json:"checkpoints"`
-	CheckpointBytes int64 `json:"checkpoint_bytes"`
-	CovDropped      int64 `json:"cov_events_dropped"`
-	BugsFound       int64 `json:"bugs_found"`
-}
-
-// emitObsBench converts a telemetry snapshot into the perf record.
-func emitObsBench(metricsPath, outPath string) error {
-	data, err := os.ReadFile(metricsPath)
-	if err != nil {
-		return err
-	}
-	var snap obs.StatusSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("%s: %w", metricsPath, err)
-	}
-	if snap.Schema != obs.SnapshotSchema {
-		return fmt.Errorf("%s: schema %q, want %q", metricsPath, snap.Schema, obs.SnapshotSchema)
-	}
-	m := snap.Metrics
-	perSec := func(n int64) float64 {
-		if snap.UptimeNS == 0 {
-			return 0
-		}
-		return float64(n) / (float64(snap.UptimeNS) / 1e9)
-	}
-	hist := func(name string) obs.HistogramSnapshot { return m.Histograms[name] }
-	b := ObsBench{
-		Schema:           "symbfuzz-bench-obs/v1",
-		WallNS:           snap.UptimeNS,
-		Vectors:          m.Gauges["vectors_applied"],
-		Cycles:           m.Gauges["cycles"],
-		CoveragePoints:   m.Gauges["coverage_points"],
-		VectorsPerSec:    perSec(m.Gauges["vectors_applied"]),
-		CyclesPerSec:     perSec(m.Gauges["cycles"]),
-		SolverDispatches: m.Counters["solver_dispatches"],
-		SolvesPerSec:     perSec(m.Counters["solver_dispatches"]),
-		MeanSolveNS:      hist("solver_cdcl_ns").Mean + hist("solver_blast_ns").Mean,
-		MeanBlastNS:      hist("solver_blast_ns").Mean,
-		MeanIntervalNS:   hist("fuzz_interval_ns").Mean,
-		Rollbacks:        m.Counters["rollbacks_snapshot"] + m.Counters["rollbacks_replay"],
-		MeanRollbackNS:   hist("rollback_ns").Mean,
-		Checkpoints:      m.Counters["checkpoints"],
-		CheckpointBytes:  m.Counters["checkpoint_bytes"],
-		CovDropped:       m.Counters["cov_events_dropped"],
-		BugsFound:        m.Counters["bugs_found"],
-	}
-	out, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("%s: %.0f vectors/sec, %.2f solves/sec, mean solve %dus over %.1fs\n",
-		outPath, b.VectorsPerSec, b.SolvesPerSec, b.MeanSolveNS/1000, float64(b.WallNS)/1e9)
-	return nil
 }

@@ -1,16 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
 	symbfuzz "repro"
-	"repro/internal/core"
 	"repro/internal/designs"
 	"repro/internal/par"
 )
@@ -32,8 +28,7 @@ import (
 // which a k-core machine divides across lanes) and the wall ratio
 // projected for a machine with at least `workers` cores, plus each
 // parallel run's set-up time (elaborate, one model build, N engine
-// constructions). The record is written as BENCH_par.json — the repo's
-// bench trajectory format — with the command line that produced it.
+// constructions).
 
 // ParRow is one design's scaling measurement.
 type ParRow struct {
@@ -64,12 +59,9 @@ type ParRow struct {
 	ParSetupNS int64 `json:"par_setup_ns"`
 }
 
-// ParBench is the BENCH_par.json record. Argv is the command that
-// wrote it (program base name plus arguments), so the record can be
-// reproduced exactly.
+// ParBench is the BENCH_par.json record.
 type ParBench struct {
-	Schema  string   `json:"schema"`
-	Argv    []string `json:"argv"`
+	header
 	Workers int      `json:"workers"`
 	Cores   int      `json:"cores"`
 	Seed    int64    `json:"seed"`
@@ -82,45 +74,33 @@ type ParBench struct {
 // small-design control. Budgets are chosen so the discovery run ends on
 // a coverage plateau — a target the union frontier reaches by seed
 // diversity rather than by replaying one lane's deepest solver chain.
-var parTargets = []struct {
-	name   string
-	budget uint64
-}{
+var parTargets = []target{
 	{"opentitan_mini", 7000},
 	{"bus_arb", 20000},
 }
 
-func runPar(workers int, seed int64, outPath string, w io.Writer) error {
-	if workers < 2 {
-		workers = 4
+const parWorkers = 4
+
+func runPar(seed int64, _ int, w io.Writer) (record, error) {
+	rows, err := rowsFor(parTargets, func(t target) (ParRow, error) { return measurePar(t, seed) })
+	if err != nil {
+		return nil, err
 	}
-	bench := ParBench{
-		Schema:  "symbfuzz-bench-par/v1",
-		Argv:    append([]string{filepath.Base(os.Args[0])}, os.Args[1:]...),
-		Workers: workers,
+	rec := &ParBench{
+		Workers: parWorkers,
 		Cores:   runtime.NumCPU(),
 		Seed:    seed,
 		Note: "wall_speedup is measured on this machine and bounded by cores; " +
 			"projected_wall_ratio assumes >= workers cores (lanes are CPU-bound and independent)",
-	}
-	for _, tgt := range parTargets {
-		b, ok := designs.FindBenchmark(tgt.name)
-		if !ok {
-			return fmt.Errorf("par: unknown benchmark %q", tgt.name)
-		}
-		row, err := measurePar(b, tgt.budget, workers, seed)
-		if err != nil {
-			return fmt.Errorf("par: %s: %w", tgt.name, err)
-		}
-		bench.Rows = append(bench.Rows, *row)
+		Rows: rows,
 	}
 
 	fmt.Fprintf(w, "Parallel scaling (time to single-worker coverage, %d workers, %d cores)\n",
-		workers, bench.Cores)
+		parWorkers, rec.Cores)
 	fmt.Fprintf(w, "%-16s %8s %8s %12s %12s %8s %8s %10s %12s\n",
-		"bench", "budget", "target", "1w wall", fmt.Sprintf("%dw wall", workers),
-		"speedup", "vec-eff", "proj-ratio", fmt.Sprintf("%dw setup", workers))
-	for _, r := range bench.Rows {
+		"bench", "budget", "target", "1w wall", fmt.Sprintf("%dw wall", parWorkers),
+		"speedup", "vec-eff", "proj-ratio", fmt.Sprintf("%dw setup", parWorkers))
+	for _, r := range rec.Rows {
 		status := fmt.Sprintf("%.2fx", r.WallSpeedup)
 		if !r.ParReached {
 			status = "miss"
@@ -130,28 +110,16 @@ func runPar(workers int, seed int64, outPath string, w io.Writer) error {
 			float64(r.SingleWallNS)/1e6, float64(r.ParWallNS)/1e6,
 			status, r.VectorEfficiency, r.ProjectedWallRatio, float64(r.ParSetupNS)/1e6)
 	}
-
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(out, '\n'), 0o644)
+	return rec, nil
 }
 
-func measurePar(b *designs.Benchmark, budget uint64, workers int, seed int64) (*ParRow, error) {
+func measurePar(t target, seed int64) (ParRow, error) {
+	b, err := designs.Lookup(t.name, true)
+	if err != nil {
+		return ParRow{}, err
+	}
 	cfg := func(nworkers, stopAt int) par.Config {
-		return par.Config{
-			Config: core.Config{
-				Interval:              100,
-				Threshold:             2,
-				MaxVectors:            budget,
-				Seed:                  seed,
-				UseSnapshots:          true,
-				ContinueAfterCoverage: true,
-			},
-			Workers:      nworkers,
-			StopAtPoints: stopAt,
-		}
+		return par.Config{Config: campaignConfig(t.budget, seed), Workers: nworkers, StopAtPoints: stopAt}
 	}
 
 	// run is one whole campaign as the CLI runs it: elaborate, prepare
@@ -169,25 +137,25 @@ func measurePar(b *designs.Benchmark, budget uint64, workers int, seed int64) (*
 	// Discovery: what does one lane reach on this budget?
 	disc, _, err := run(cfg(1, 0))
 	if err != nil {
-		return nil, err
+		return ParRow{}, err
 	}
 	target := disc.Merged.FinalPoints
 
 	// Baseline: time for the same lane to get there.
 	single, _, err := run(cfg(1, target))
 	if err != nil {
-		return nil, err
+		return ParRow{}, err
 	}
 
 	// Parallel: N lanes race the merged frontier to the same target.
-	parallel, setupNS, err := run(cfg(workers, target))
+	parallel, setupNS, err := run(cfg(parWorkers, target))
 	if err != nil {
-		return nil, err
+		return ParRow{}, err
 	}
 
-	row := &ParRow{
+	row := ParRow{
 		Bench:        b.Name,
-		Budget:       budget,
+		Budget:       t.budget,
 		TargetPoints: target,
 		SingleWallNS: single.TimeToTargetNS,
 		SingleVec:    vectorsToTarget(single, target),
@@ -199,7 +167,7 @@ func measurePar(b *designs.Benchmark, budget uint64, workers int, seed int64) (*
 	if row.ParReached && row.ParWallNS > 0 && row.SingleWallNS > 0 {
 		row.WallSpeedup = float64(row.SingleWallNS) / float64(row.ParWallNS)
 		row.ProjectedWallRatio = float64(row.ParWallNS) /
-			(float64(workers) * float64(row.SingleWallNS))
+			(float64(parWorkers) * float64(row.SingleWallNS))
 	}
 	if row.ParVec > 0 {
 		row.VectorEfficiency = float64(row.SingleVec) / float64(row.ParVec)

@@ -1,32 +1,25 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/designs"
 	"repro/internal/prof"
 )
 
 // The prof experiment measures what cost profiling costs: the same
 // fixed-budget bus_arb campaign runs with a Profiler attached (eval
 // counting, sampled eval timing, per-target solver ledgers) and with
-// the nil-profiler no-op path. Runs interleave and each arm keeps its
-// minimum wall time, mirroring the flight experiment. As a free side
-// check, the canonical ledgers of the interleaved profiled runs must
-// be byte-identical — the determinism contract under the load the
-// benchmark itself generates. The record is written as BENCH_prof.json
-// and the experiment fails if profiling costs more than 5% wall time.
+// the nil-profiler no-op path, interleaved by minPair. As a side check
+// the profiled runs' canonical ledgers must be byte-identical — the
+// determinism contract under the load the benchmark itself generates.
+// It fails if profiling costs more than maxOverhead.
 
 // ProfBench is the BENCH_prof.json record.
 type ProfBench struct {
-	Schema string `json:"schema"`
+	header
 	Bench  string `json:"bench"`
 	Budget uint64 `json:"budget"`
 	Runs   int    `json:"runs"`
@@ -41,119 +34,52 @@ type ProfBench struct {
 	SolverDispatches int64  `json:"solver_dispatches"`
 	LedgerBytes      int    `json:"ledger_bytes"`
 
-	// Overhead is profiling-on wall over profiling-off wall (min of
-	// Runs interleaved runs per arm).
-	Overhead float64 `json:"overhead"`
-	Within5  bool    `json:"within_5pct"`
+	overhead
 }
 
-const profBudget = 20_000
-
-func runProf(seed int64, runs int, outPath string, w io.Writer) error {
-	if runs < 1 {
-		runs = 3
+func runProf(seed int64, runs int, w io.Writer) (record, error) {
+	rec := &ProfBench{
+		Bench:  "bus_arb",
+		Budget: busArbVectors,
+		Runs:   runs,
+		Cores:  runtime.NumCPU(),
+		Seed:   seed,
+		Note: "prof arm counts every sim eval, samples eval wall time, and keeps per-target " +
+			"solver ledgers; the no-prof arm runs the engine's nil-profiler no-op path; each arm " +
+			"keeps its minimum wall time over interleaved runs, and the profiled runs' canonical " +
+			"ledgers are asserted byte-identical",
 	}
-	b, ok := designs.FindBenchmark("bus_arb")
-	if !ok {
-		return fmt.Errorf("prof: bus_arb benchmark missing")
-	}
-	cc := core.Config{
-		Interval:              100,
-		Threshold:             2,
-		MaxVectors:            profBudget,
-		Seed:                  seed,
-		UseSnapshots:          true,
-		ContinueAfterCoverage: true,
-	}
-
-	campaign := func(p *prof.Profiler) (int64, error) {
-		d, err := b.Elaborate()
-		if err != nil {
-			return 0, err
-		}
-		c := cc
-		c.Prof = p
-		eng, err := core.New(d, b.Properties, c)
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		if _, err := eng.Run(); err != nil {
-			return 0, err
-		}
-		return time.Since(start).Nanoseconds(), nil
-	}
-
-	var rec ProfBench
-	var canonRef []byte
-	minProf, minPlain := int64(0), int64(0)
-	for i := 0; i < runs; i++ {
+	sameLedger := sameEvery[string]("canonical ledger")
+	profiled := func() (int64, error) {
 		p := prof.New(prof.Options{})
-		tn, err := campaign(p)
+		ns, err := runBusArb(seed, func(c *core.Config) { c.Prof = p })
 		if err != nil {
-			return err
+			return 0, err
 		}
 		d := prof.NewDump("bus_arb", seed, p.Ledgers())
 		canon, err := d.Canonical().MarshalIndent()
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if canonRef == nil {
-			canonRef = canon
-			rec.SimEvals = d.Totals.Evals
-			rec.SolverDispatches = d.Totals.Dispatches
-			full, err := d.MarshalIndent()
-			if err != nil {
-				return err
-			}
-			rec.LedgerBytes = len(full)
-		} else if !bytes.Equal(canon, canonRef) {
-			return fmt.Errorf("prof: canonical ledger diverged between identical runs")
-		}
-		pn, err := campaign(nil)
+		full, err := d.MarshalIndent()
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if minProf == 0 || tn < minProf {
-			minProf = tn
-		}
-		if minPlain == 0 || pn < minPlain {
-			minPlain = pn
-		}
+		rec.SimEvals, rec.SolverDispatches, rec.LedgerBytes = d.Totals.Evals, d.Totals.Dispatches, len(full)
+		return ns, sameLedger(string(canon))
 	}
-
-	rec.Schema = "symbfuzz-bench-prof/v1"
-	rec.Bench = "bus_arb"
-	rec.Budget = profBudget
-	rec.Runs = runs
-	rec.Cores = runtime.NumCPU()
-	rec.Seed = seed
-	rec.Note = "prof arm counts every sim eval, samples eval wall time, and keeps per-target " +
-		"solver ledgers; the no-prof arm runs the engine's nil-profiler no-op path; each arm " +
-		"keeps its minimum wall time over interleaved runs, and the profiled runs' canonical " +
-		"ledgers are asserted byte-identical"
-	rec.ProfWallNS = minProf
-	rec.NoProfWallNS = minPlain
-	rec.Overhead = float64(minProf) / float64(minPlain)
-	rec.Within5 = rec.Overhead <= 1.05
+	on, off, err := minPair(runs, profiled, func() (int64, error) { return runBusArb(seed, nil) })
+	if err != nil {
+		return nil, err
+	}
+	rec.ProfWallNS, rec.NoProfWallNS = on, off
+	gateErr := rec.gate("profiling", on, off)
 
 	fmt.Fprintf(w, "Cost-profiler overhead (bus_arb, %d vectors, min of %d runs per arm)\n",
-		profBudget, runs)
+		busArbVectors, runs)
 	fmt.Fprintf(w, "  prof on:  %10.2fms  (%d sim evals, %d dispatches, %d-byte ledger)\n",
 		float64(rec.ProfWallNS)/1e6, rec.SimEvals, rec.SolverDispatches, rec.LedgerBytes)
 	fmt.Fprintf(w, "  prof off: %10.2fms\n", float64(rec.NoProfWallNS)/1e6)
 	fmt.Fprintf(w, "  overhead: %10.4fx\n", rec.Overhead)
-
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	if !rec.Within5 {
-		return fmt.Errorf("prof: profiling costs %.2f%% wall time, budget is 5%%",
-			(rec.Overhead-1)*100)
-	}
-	return nil
+	return rec, gateErr
 }

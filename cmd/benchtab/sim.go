@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"runtime"
 	"time"
 
@@ -19,13 +17,11 @@ import (
 // The sim experiment measures raw simulation throughput: for every
 // builtin design, the same pre-generated stimulus stream is driven
 // through the event-driven interpreter and the compiled closure
-// backend, and each arm keeps its minimum wall time over interleaved
-// runs. Because both backends replicate the same scheduler the
-// trajectories are identical by construction (the differential harness
-// in internal/simc/diff proves that); this experiment only asks how
-// fast each gets there, plus how often the compiled backend's
-// word-packed two-state fast path is taken. The record is written as
-// BENCH_sim.json and gated by benchtab -diff.
+// backend, interleaved by minPair. Because both backends replicate the
+// same scheduler the trajectories are identical by construction (the
+// differential harness in internal/simc/diff proves that); this
+// experiment only asks how fast each gets there, plus how often the
+// compiled backend's word-packed two-state fast path is taken.
 
 // SimBenchRow is one design's throughput comparison.
 type SimBenchRow struct {
@@ -46,7 +42,7 @@ type SimBenchRow struct {
 
 // SimBench is the BENCH_sim.json record.
 type SimBench struct {
-	Schema string        `json:"schema"`
+	header
 	Cycles int           `json:"cycles"`
 	Runs   int           `json:"runs"`
 	Cores  int           `json:"cores"`
@@ -114,16 +110,12 @@ func driveStim(s sim.DUV, st simStim) (int64, error) {
 	return time.Since(start).Nanoseconds(), nil
 }
 
-func runSimExp(cycles, runs int, seed int64, outPath string, w io.Writer) error {
-	if cycles < 1 {
-		cycles = 2000
-	}
-	if runs < 1 {
-		runs = 3
-	}
-	rec := SimBench{
-		Schema: "symbfuzz-bench-sim/v1",
-		Cycles: cycles,
+// simCycles is the stimulus length per design and run.
+const simCycles = 2000
+
+func runSim(seed int64, runs int, w io.Writer) (record, error) {
+	rec := &SimBench{
+		Cycles: simCycles,
 		Runs:   runs,
 		Cores:  runtime.NumCPU(),
 		Seed:   seed,
@@ -133,52 +125,45 @@ func runSimExp(cycles, runs int, seed int64, outPath string, w io.Writer) error 
 			"kernel evaluations that stayed on the all-known word-packed fast path",
 	}
 
-	fmt.Fprintf(w, "Simulation backend throughput (%d vectors, min of %d runs per arm)\n", cycles, runs)
+	fmt.Fprintf(w, "Simulation backend throughput (%d vectors, min of %d runs per arm)\n", simCycles, runs)
 	fmt.Fprintf(w, "  %-16s %14s %14s %9s %9s\n", "design", "interp vec/s", "compiled vec/s", "speedup", "2-state")
 
 	for _, b := range designs.AllBenchmarks() {
 		d, err := b.Elaborate()
 		if err != nil {
-			return fmt.Errorf("sim: elaborate %s: %w", b.Name, err)
+			return nil, fmt.Errorf("elaborate %s: %w", b.Name, err)
 		}
-		st := genStim(d, cycles, seed)
-		var minInterp, minCompiled int64
+		st := genStim(d, simCycles, seed)
 		var hitRate float64
-		for r := 0; r < runs; r++ {
-			si, err := sim.New(d)
+		interp := func() (int64, error) {
+			s, err := sim.New(d)
 			if err != nil {
-				return fmt.Errorf("sim: interp %s: %w", b.Name, err)
+				return 0, err
 			}
-			in, err := driveStim(si, st)
+			return driveStim(s, st)
+		}
+		compiled := func() (int64, error) {
+			m, err := simc.New(d)
 			if err != nil {
-				return fmt.Errorf("sim: interp %s: %w", b.Name, err)
+				return 0, err
 			}
-			mc, err := simc.New(d)
-			if err != nil {
-				return fmt.Errorf("sim: compile %s: %w", b.Name, err)
+			ns, err := driveStim(m, st)
+			if hits, misses := m.TwoStateStats(); hits+misses > 0 {
+				hitRate = float64(hits) / float64(hits+misses)
 			}
-			cn, err := driveStim(mc, st)
-			if err != nil {
-				return fmt.Errorf("sim: compiled %s: %w", b.Name, err)
-			}
-			if minInterp == 0 || in < minInterp {
-				minInterp = in
-			}
-			if minCompiled == 0 || cn < minCompiled {
-				minCompiled = cn
-			}
-			hits, misses := mc.TwoStateStats()
-			if total := hits + misses; total > 0 {
-				hitRate = float64(hits) / float64(total)
-			}
+			return ns, err
+		}
+		minInterp, minCompiled, err := minPair(runs, interp, compiled)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		row := SimBenchRow{
 			Design:                b.Name,
 			Signals:               len(d.Signals),
 			Procs:                 len(d.Procs),
-			Cycles:                cycles,
-			InterpVectorsPerSec:   float64(cycles) / (float64(minInterp) / 1e9),
-			CompiledVectorsPerSec: float64(cycles) / (float64(minCompiled) / 1e9),
+			Cycles:                simCycles,
+			InterpVectorsPerSec:   float64(simCycles) / (float64(minInterp) / 1e9),
+			CompiledVectorsPerSec: float64(simCycles) / (float64(minCompiled) / 1e9),
 			TwoStateHitRate:       hitRate,
 		}
 		row.Speedup = row.CompiledVectorsPerSec / row.InterpVectorsPerSec
@@ -192,9 +177,5 @@ func runSimExp(cycles, runs int, seed int64, outPath string, w io.Writer) error 
 	}
 
 	fmt.Fprintf(w, "  best speedup: %.2fx\n", rec.BestSpeedup)
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(out, '\n'), 0o644)
+	return rec, nil
 }

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/designs"
@@ -16,7 +14,7 @@ import (
 // ablation, and the record compares mean per-dispatch bit-blast time.
 // Slicing is trajectory-neutral — both arms must agree on coverage and
 // solved plans — so the blast-time delta is attributable to the smaller
-// queries alone. The record is written as BENCH_slice.json.
+// queries alone.
 
 // SliceRow is one design's slicing measurement.
 type SliceRow struct {
@@ -41,41 +39,31 @@ type SliceRow struct {
 
 // SliceBench is the BENCH_slice.json record.
 type SliceBench struct {
-	Schema string     `json:"schema"`
-	Seed   int64      `json:"seed"`
-	Note   string     `json:"note"`
-	Rows   []SliceRow `json:"rows"`
+	header
+	Seed int64      `json:"seed"`
+	Note string     `json:"note"`
+	Rows []SliceRow `json:"rows"`
 }
 
-// sliceTargets reuses the par experiment's design/budget pairs: the SoC
-// as the headline target and the bus arbiter as the small-design
-// control.
-var sliceTargets = parTargets
-
-func runSlice(seed int64, outPath string, w io.Writer) error {
-	bench := SliceBench{
-		Schema: "symbfuzz-bench-slice/v1",
-		Seed:   seed,
+func runSlice(seed int64, _ int, w io.Writer) (record, error) {
+	// The par experiment's designs and budgets: the SoC as the headline
+	// target and the bus arbiter as the small-design control.
+	rows, err := rowsFor(parTargets, func(t target) (SliceRow, error) { return measureSlice(t, seed) })
+	if err != nil {
+		return nil, err
+	}
+	rec := &SliceBench{
+		Seed: seed,
 		Note: "both arms run the identical campaign (slicing is trajectory-neutral); " +
 			"blast_reduction compares mean per-dispatch bit-blast wall time",
-	}
-	for _, tgt := range sliceTargets {
-		b, ok := designs.FindBenchmark(tgt.name)
-		if !ok {
-			return fmt.Errorf("slice: unknown benchmark %q", tgt.name)
-		}
-		row, err := measureSlice(b, tgt.budget, seed)
-		if err != nil {
-			return fmt.Errorf("slice: %s: %w", tgt.name, err)
-		}
-		bench.Rows = append(bench.Rows, *row)
+		Rows: rows,
 	}
 
 	fmt.Fprintf(w, "Cone-of-influence slicing (mean per-dispatch solver time, sliced vs ablation)\n")
 	fmt.Fprintf(w, "%-16s %8s %10s %12s %12s %10s %10s %8s\n",
 		"bench", "budget", "dispatches", "full blast", "sliced blast",
 		"reduction", "vars saved", "refuted")
-	for _, r := range bench.Rows {
+	for _, r := range rec.Rows {
 		fmt.Fprintf(w, "%-16s %8d %10d %10.2fus %10.2fus %9.1f%% %10d %8d\n",
 			r.Bench, r.Budget, r.Dispatches,
 			float64(r.FullBlastNS)/1e3, float64(r.SlicedBlastNS)/1e3,
@@ -84,29 +72,22 @@ func runSlice(seed int64, outPath string, w io.Writer) error {
 			fmt.Fprintf(w, "  WARNING: %s arms diverged — slicing is not trajectory-neutral here\n", r.Bench)
 		}
 	}
-
-	out, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(out, '\n'), 0o644)
+	return rec, nil
 }
 
-func measureSlice(b *designs.Benchmark, budget uint64, seed int64) (*SliceRow, error) {
+func measureSlice(t target, seed int64) (SliceRow, error) {
+	b, err := designs.Lookup(t.name, true)
+	if err != nil {
+		return SliceRow{}, err
+	}
 	run := func(disable bool) (*core.Report, error) {
 		d, err := b.Elaborate()
 		if err != nil {
 			return nil, err
 		}
-		eng, err := core.New(d, b.Properties, core.Config{
-			Interval:              100,
-			Threshold:             2,
-			MaxVectors:            budget,
-			Seed:                  seed,
-			UseSnapshots:          true,
-			ContinueAfterCoverage: true,
-			DisableSlicing:        disable,
-		})
+		c := campaignConfig(t.budget, seed)
+		c.DisableSlicing = disable
+		eng, err := core.New(d, b.Properties, c)
 		if err != nil {
 			return nil, err
 		}
@@ -114,11 +95,11 @@ func measureSlice(b *designs.Benchmark, budget uint64, seed int64) (*SliceRow, e
 	}
 	sliced, err := run(false)
 	if err != nil {
-		return nil, err
+		return SliceRow{}, err
 	}
 	full, err := run(true)
 	if err != nil {
-		return nil, err
+		return SliceRow{}, err
 	}
 	mean := func(total, n int64) int64 {
 		if n == 0 {
@@ -127,9 +108,9 @@ func measureSlice(b *designs.Benchmark, budget uint64, seed int64) (*SliceRow, e
 		return total / n
 	}
 	fs, ss := &full.Timings.Solve, &sliced.Timings.Solve
-	row := &SliceRow{
+	row := SliceRow{
 		Bench:             b.Name,
-		Budget:            budget,
+		Budget:            t.budget,
 		Dispatches:        int64(ss.Dispatches),
 		SolvedPlans:       sliced.SolvedPlans,
 		FullBlastNS:       mean(fs.BlastNS, int64(fs.Dispatches)),

@@ -1,16 +1,12 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"runtime"
-	"sync"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/fleet"
@@ -20,16 +16,14 @@ import (
 // the same fixed-budget 2-worker fleet campaign runs with the watch
 // plane enabled (publish/solve hooks feeding the health engine, the
 // periodic sweep, alert journaling, the subscription bus) and with it
-// disabled (the nil-hook path the zero-alloc test pins). Runs
-// interleave and each arm keeps its minimum wall time, mirroring the
-// flight and prof experiments. Both arms must produce identical merged
-// coverage — the watch plane is an observer, never a participant. The
-// record is written as BENCH_watch.json and the experiment fails if
-// watching costs more than 5% wall time.
+// disabled (the nil-hook path the zero-alloc test pins), interleaved
+// by minPair. As a side check every run's merged coverage must be
+// equal — the watch plane is an observer, never a participant. It
+// fails if watching costs more than maxOverhead.
 
 // WatchBench is the BENCH_watch.json record.
 type WatchBench struct {
-	Schema  string `json:"schema"`
+	header
 	Bench   string `json:"bench"`
 	Budget  uint64 `json:"budget"`
 	Workers int    `json:"workers"`
@@ -46,10 +40,7 @@ type WatchBench struct {
 	AlertsJournaled int  `json:"alerts_journaled"`
 	MergedEqual     bool `json:"merged_equal"`
 
-	// Overhead is watch-on wall over watch-off wall (min of Runs
-	// interleaved runs per arm).
-	Overhead float64 `json:"overhead"`
-	Within5  bool    `json:"within_5pct"`
+	overhead
 }
 
 // watchBudget stretches well past scmi_mailbox's coverage saturation:
@@ -60,62 +51,51 @@ const (
 	watchWorkers = 2
 )
 
-func runWatchExp(seed int64, runs int, outPath string, w io.Writer) error {
-	if runs < 1 {
-		runs = 5
+func runWatch(seed int64, runs int, w io.Writer) (record, error) {
+	spec := campaignSpec("scmi_mailbox", watchBudget, seed, watchWorkers)
+	spec.Interval = 50
+	rec := &WatchBench{
+		Bench:   spec.Bench,
+		Budget:  watchBudget,
+		Workers: watchWorkers,
+		Runs:    runs,
+		Cores:   runtime.NumCPU(),
+		Seed:    seed,
+		Note: "watch arm hosts the campaign with the streaming health plane on (hooks, sweep, " +
+			"alert journal, bus); the no-watch arm runs the nil-hook path; each arm keeps its " +
+			"minimum wall time over interleaved runs, and both arms' merged coverage is asserted equal",
 	}
-	spec := dist.CampaignSpec{
-		Bench:                 "scmi_mailbox",
-		Interval:              50,
-		Threshold:             2,
-		MaxVectors:            watchBudget,
-		Seed:                  seed,
-		Workers:               watchWorkers,
-		UseSnapshots:          true,
-		ContinueAfterCoverage: true,
+	type merged struct {
+		vectors uint64
+		points  int
 	}
-
-	var rec WatchBench
-	minWatch, minPlain := int64(0), int64(0)
-	var refVectors uint64
-	var refPoints int
-	rec.MergedEqual = true
-	for i := 0; i < runs; i++ {
-		for _, watched := range []bool{true, false} {
-			wall, vectors, points, alerts, err := runWatchArm(spec, watched, seed)
+	// A divergence is recorded (merged_equal false) and fails the run
+	// after the record is written, as the overhead gate does.
+	sameMerged := sameEvery[merged]("merged coverage")
+	var mergeErr error
+	arm := func(watched bool) func() (int64, error) {
+		var inspect func(*fleet.Server)
+		if watched {
+			inspect = rec.countAlerts
+		}
+		return func() (int64, error) {
+			reps, wall, err := loopback([]dist.CoordConfig{{Spec: spec, Name: "watchbench"}},
+				watched, nil, inspect)
 			if err != nil {
-				return fmt.Errorf("watch: run %d (watch=%v): %w", i, watched, err)
+				return 0, fmt.Errorf("watch=%v: %w", watched, err)
 			}
-			if refVectors == 0 {
-				refVectors, refPoints = vectors, points
-			} else if vectors != refVectors || points != refPoints {
-				rec.MergedEqual = false
+			if err := sameMerged(merged{reps[0].Merged.Vectors, reps[0].Merged.FinalPoints}); err != nil && mergeErr == nil {
+				mergeErr = err
 			}
-			if watched {
-				rec.AlertsJournaled = alerts
-				if minWatch == 0 || wall < minWatch {
-					minWatch = wall
-				}
-			} else if minPlain == 0 || wall < minPlain {
-				minPlain = wall
-			}
+			return wall, nil
 		}
 	}
-
-	rec.Schema = "symbfuzz-bench-watch/v1"
-	rec.Bench = spec.Bench
-	rec.Budget = watchBudget
-	rec.Workers = watchWorkers
-	rec.Runs = runs
-	rec.Cores = runtime.NumCPU()
-	rec.Seed = seed
-	rec.Note = "watch arm hosts the campaign with the streaming health plane on (hooks, sweep, " +
-		"alert journal, bus); the no-watch arm runs the nil-hook path; each arm keeps its " +
-		"minimum wall time over interleaved runs, and both arms' merged coverage is asserted equal"
-	rec.WatchWallNS = minWatch
-	rec.NoWatchWallNS = minPlain
-	rec.Overhead = float64(minWatch) / float64(minPlain)
-	rec.Within5 = rec.Overhead <= 1.05
+	on, off, err := minPair(runs, arm(true), arm(false))
+	if err != nil {
+		return nil, err
+	}
+	rec.WatchWallNS, rec.NoWatchWallNS, rec.MergedEqual = on, off, mergeErr == nil
+	gateErr := errors.Join(mergeErr, rec.gate("watching", on, off))
 
 	fmt.Fprintf(w, "Watch-plane overhead (%s, %d vectors, %d workers, min of %d runs per arm)\n",
 		spec.Bench, watchBudget, watchWorkers, runs)
@@ -126,96 +106,22 @@ func runWatchExp(seed int64, runs int, outPath string, w io.Writer) error {
 	if !rec.MergedEqual {
 		fmt.Fprintln(w, "  WARNING: merged coverage diverged between arms")
 	}
-
-	out, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	if !rec.MergedEqual {
-		return fmt.Errorf("watch: merged coverage diverged between watched and unwatched arms")
-	}
-	if !rec.Within5 {
-		return fmt.Errorf("watch: watching costs %.2f%% wall time, budget is 5%%",
-			(rec.Overhead-1)*100)
-	}
-	return nil
+	return rec, gateErr
 }
 
-// runWatchArm hosts one fleet server (watched or not), runs the
-// campaign to completion, and returns the wall time plus the merged
-// totals and journaled alert count.
-func runWatchArm(spec dist.CampaignSpec, watched bool, seed int64) (wall int64, vectors uint64, points, alerts int, err error) {
-	dir, err := os.MkdirTemp("", "benchwatch")
+// countAlerts reads the alerts the watch plane raised from its
+// snapshot endpoint.
+func (rec *WatchBench) countAlerts(srv *fleet.Server) {
+	resp, err := http.Get("http://" + srv.Addr() + "/v1/watch/snapshot")
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return
 	}
-	defer os.RemoveAll(dir)
-
-	srv, err := fleet.NewServer("127.0.0.1:0", fleet.Config{
-		JournalDir: dir,
-		Watch:      watched,
-	})
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	defer srv.Shutdown(context.Background())
-
-	body, err := json.Marshal(fleet.CreateRequest{Name: "watchbench", Spec: spec})
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	start := time.Now()
-	resp, err := http.Post("http://"+srv.Addr()+"/v1/campaigns", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		return 0, 0, 0, 0, fmt.Errorf("create: status %d", resp.StatusCode)
-	}
-
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	errs := make([]error, spec.Workers)
-	for i := 0; i < spec.Workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = dist.RunWorker(ctx, dist.WorkerConfig{
-				Addr:     srv.Addr(),
-				Campaign: "watchbench",
-				WorkerID: fmt.Sprintf("wb-w%d", i),
-				RankHint: i,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, werr := range errs {
-		if werr != nil {
-			return 0, 0, 0, 0, fmt.Errorf("worker %d: %w", i, werr)
+	defer resp.Body.Close()
+	var snap fleet.WatchSnapshot
+	if json.NewDecoder(resp.Body).Decode(&snap) == nil {
+		rec.AlertsJournaled = 0
+		for _, h := range snap.Campaigns {
+			rec.AlertsJournaled += h.AlertsTotal
 		}
 	}
-	rep, err := srv.WaitCampaign(ctx, "watchbench")
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	wall = int64(time.Since(start))
-
-	if watched {
-		var snap fleet.WatchSnapshot
-		sresp, err := http.Get("http://" + srv.Addr() + "/v1/watch/snapshot")
-		if err == nil {
-			if json.NewDecoder(sresp.Body).Decode(&snap) == nil {
-				for _, h := range snap.Campaigns {
-					alerts += h.AlertsTotal
-				}
-			}
-			sresp.Body.Close()
-		}
-	}
-	return wall, rep.Merged.Vectors, rep.Merged.FinalPoints, alerts, nil
 }

@@ -76,9 +76,9 @@ func main() {
 	default:
 		benches := designs.AllBenchmarks()
 		if *bench != "" {
-			b, ok := designs.FindBenchmark(*bench)
-			if !ok {
-				fail(fmt.Errorf("unknown benchmark %q", *bench))
+			b, err := designs.Lookup(*bench, true)
+			if err != nil {
+				fail(err)
 			}
 			benches = []*designs.Benchmark{b}
 		}

@@ -93,7 +93,7 @@ func main() {
 		replay    = flag.Bool("replay", false, "use reset+replay instead of snapshots")
 		keepGoing = flag.Bool("keep-going", true, "continue after full CFG coverage")
 		noSlice   = flag.Bool("no-slice", false, "disable cone-of-influence slicing (ablation)")
-		simBack   = flag.String("sim", "interp", "simulation backend: interp (event-driven interpreter) or compiled (closure-compiled; identical trajectories, faster)")
+		simBack   = flag.String("sim", "compiled", "simulation backend: compiled (closure-compiled) or interp (event-driven reference interpreter; identical trajectories, slower)")
 		traceOut  = flag.String("trace", "", "write the JSONL campaign event trace to this file")
 		metricOut = flag.String("metrics", "", "write the final metrics/status snapshot JSON to this file")
 		statusOn  = flag.String("status", "", "serve the live status+pprof endpoint on this address (e.g. :6060)")
@@ -465,31 +465,8 @@ func resolveBenchmark(bench, srcFile, top string, fixed bool) (*symbfuzz.Benchma
 		}
 		return &symbfuzz.Benchmark{Name: top, Top: top, Source: string(data)}, nil
 	}
-	buggy := !fixed
-	switch bench {
-	case "alu":
-		return symbfuzz.ALU(), nil
-	case "opentitan_mini":
-		if fixed {
-			return symbfuzz.OpenTitanMini(map[string]bool{}), nil
-		}
-		return symbfuzz.OpenTitanMini(nil), nil
-	case "cva6_mini":
-		return symbfuzz.CVA6Mini(buggy), nil
-	case "rocket_mini":
-		return symbfuzz.RocketMini(buggy), nil
-	case "mor1kx_mini":
-		return symbfuzz.Mor1kxMini(buggy), nil
-	case "":
+	if bench == "" {
 		return nil, fmt.Errorf("one of -bench or -src is required")
 	}
-	for _, ip := range designs.AllIPs() {
-		if ip.Name == bench {
-			return designs.IPBenchmark(ip, buggy), nil
-		}
-	}
-	if b, ok := designs.FindBenchmark(bench); ok {
-		return b, nil
-	}
-	return nil, fmt.Errorf("unknown benchmark %q", bench)
+	return designs.Lookup(bench, fixed)
 }

@@ -128,9 +128,9 @@ func TestConeSmallerThanDesign(t *testing.T) {
 	// bus_arb carries several independent clusters: dispatches must not
 	// drag the other clusters' state into the cone, so at least some
 	// dispatch saves variables.
-	b, ok := designs.FindBenchmark("bus_arb")
-	if !ok {
-		t.Skip("bus_arb benchmark not present")
+	b, err := designs.Lookup("bus_arb", true)
+	if err != nil {
+		t.Fatal(err)
 	}
 	part, context := benchPartition(t, b)
 	saved := false

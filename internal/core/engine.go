@@ -47,9 +47,9 @@ type Config struct {
 	Seed int64
 	// ResetCycles for the reset sequence (default 2).
 	ResetCycles int
-	// SimBackend selects the DUV implementation: "" or "interp" for
-	// the event-driven four-state interpreter, "compiled" for the
-	// closure-compiled backend (internal/simc). The backends are
+	// SimBackend selects the DUV implementation: "" or "compiled" for
+	// the closure-compiled backend (internal/simc), "interp" for the
+	// event-driven four-state interpreter. The backends are
 	// observationally identical, so a campaign's Report does not depend
 	// on the choice — only its wall-clock does.
 	SimBackend string

@@ -44,9 +44,9 @@ func TestSharedModelMatchesNew(t *testing.T) {
 		{"bus_arb", 4000},
 	} {
 		t.Run(tc.bench, func(t *testing.T) {
-			b, ok := designs.FindBenchmark(tc.bench)
-			if !ok {
-				t.Fatalf("no builtin benchmark %q", tc.bench)
+			b, err := designs.Lookup(tc.bench, true)
+			if err != nil {
+				t.Fatal(err)
 			}
 			configs := make([]Config, 4)
 			for i := range configs {

@@ -9,9 +9,9 @@ import (
 
 func benchmarkDesign(t testing.TB, name string) *elab.Design {
 	t.Helper()
-	bm, ok := designs.FindBenchmark(name)
-	if !ok {
-		t.Fatalf("no builtin benchmark %q", name)
+	bm, err := designs.Lookup(name, true)
+	if err != nil {
+		t.Fatal(err)
 	}
 	d, err := bm.Elaborate()
 	if err != nil {

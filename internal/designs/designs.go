@@ -147,32 +147,59 @@ func FindIP(bugID string) (IP, Bug, bool) {
 	return IP{}, Bug{}, false
 }
 
-// AllBenchmarks returns every builtin benchmark in its fixed (bug-free)
-// variant, in a stable order: the ALU, each IP block standalone, the
-// three processor cores, and the assembled SoC. This is the design set
-// static-analysis tooling (cmd/hdllint, the lint-clean tests) runs over.
-func AllBenchmarks() []*Benchmark {
-	out := []*Benchmark{ALU(), BusArb()}
-	for _, ip := range AllIPs() {
-		out = append(out, IPBenchmark(ip, false))
+// builtin is one row of the builtin benchmark table: a name and the
+// constructor of its planted-bug (buggy) or bug-free variant.
+type builtin struct {
+	name  string
+	build func(buggy bool) *Benchmark
+}
+
+// builtins is the one builtin benchmark table, in a stable order: the
+// ALU and bus arbiter (one variant each), each IP block standalone, the
+// three processor cores, and the assembled SoC.
+func builtins() []builtin {
+	t := []builtin{
+		{"alu", func(bool) *Benchmark { return ALU() }},
+		{"bus_arb", func(bool) *Benchmark { return BusArb() }},
 	}
-	out = append(out,
-		CVA6Mini(false),
-		RocketMini(false),
-		Mor1kxMini(false),
-		OpenTitanMini(map[string]bool{}),
+	for _, ip := range AllIPs() {
+		ip := ip
+		t = append(t, builtin{ip.Name, func(buggy bool) *Benchmark { return IPBenchmark(ip, buggy) }})
+	}
+	return append(t,
+		builtin{"cva6_mini", CVA6Mini},
+		builtin{"rocket_mini", RocketMini},
+		builtin{"mor1kx_mini", Mor1kxMini},
+		builtin{"opentitan_mini", func(buggy bool) *Benchmark {
+			if buggy {
+				return OpenTitanMini(nil)
+			}
+			return OpenTitanMini(map[string]bool{})
+		}},
 	)
+}
+
+// AllBenchmarks returns every builtin benchmark in its fixed (bug-free)
+// variant, in table order. This is the design set static-analysis
+// tooling (cmd/hdllint, the lint-clean tests) runs over.
+func AllBenchmarks() []*Benchmark {
+	var out []*Benchmark
+	for _, b := range builtins() {
+		out = append(out, b.build(false))
+	}
 	return out
 }
 
-// FindBenchmark returns the builtin benchmark with the given name.
-func FindBenchmark(name string) (*Benchmark, bool) {
-	for _, b := range AllBenchmarks() {
-		if b.Name == name {
-			return b, true
+// Lookup resolves a builtin benchmark by name: its planted-bug variant,
+// or with fixed its bug-free one (alu and bus_arb have only one). The
+// CLIs and distributed campaign specs resolve through it.
+func Lookup(name string, fixed bool) (*Benchmark, error) {
+	for _, b := range builtins() {
+		if b.name == name {
+			return b.build(!fixed), nil
 		}
 	}
-	return nil, false
+	return nil, fmt.Errorf("unknown benchmark %q", name)
 }
 
 // ExternalSignals names the signals the benchmark's bound properties

@@ -152,3 +152,33 @@ func TestSymbFuzzFindsEveryPlantedBug(t *testing.T) {
 		})
 	}
 }
+
+func TestLookupResolvesEveryBuiltin(t *testing.T) {
+	names := []string{"alu", "opentitan_mini", "cva6_mini", "rocket_mini", "mor1kx_mini"}
+	for _, b := range AllBenchmarks() {
+		names = append(names, b.Name)
+	}
+	for _, ip := range AllIPs() {
+		names = append(names, ip.Name)
+	}
+	for _, name := range names {
+		for _, fixed := range []bool{false, true} {
+			b, err := Lookup(name, fixed)
+			if err != nil {
+				t.Fatalf("Lookup(%q, %v): %v", name, fixed, err)
+			}
+			if b.Name != name || b.Source == "" {
+				t.Fatalf("Lookup(%q, %v) gave %q with %d bytes of source", name, fixed, b.Name, len(b.Source))
+			}
+		}
+	}
+	// The fixed flag selects the bug-free variant where there is one.
+	buggy, _ := Lookup("aes", false)
+	fixed, _ := Lookup("aes", true)
+	if buggy.Source == fixed.Source {
+		t.Fatal("Lookup(aes) ignores fixed")
+	}
+	if _, err := Lookup("no_such_design", false); err == nil {
+		t.Fatal("Lookup of an unknown name returned no error")
+	}
+}

@@ -100,8 +100,8 @@ type CampaignSpec struct {
 	// prof.Profiler to its engine and ships the rank ledger with its
 	// report (proto v3).
 	Profile bool `json:"profile,omitempty"`
-	// SimBackend selects the workers' DUV implementation ("interp" or
-	// "compiled"); empty means interp. Reports are backend-independent,
+	// SimBackend selects the workers' DUV implementation ("compiled" or
+	// "interp"); empty means compiled. Reports are backend-independent,
 	// so mixed fleets stay mergeable.
 	SimBackend string `json:"sim_backend,omitempty"`
 }

@@ -30,7 +30,7 @@ func TestDifferentialSweepSelfConsistent(t *testing.T) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			dut, _ := designs.FindBenchmark(b.Name)
+			dut, _ := designs.Lookup(b.Name, true)
 			res, err := RunGRMOpts(dut, b, budget(b.Name), 17, GRMOptions{CompareRegisters: true})
 			if err != nil {
 				t.Fatal(err)

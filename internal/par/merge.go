@@ -98,7 +98,7 @@ func mergeTimings(dst, src *core.Timings) {
 
 // FinalizeMetrics folds the merged campaign totals into the
 // campaign-level (unprefixed) instruments, so /status and downstream
-// consumers (benchtab -metrics) see campaign sums next to the w<N>_
+// consumers (tracecheck -metrics) see campaign sums next to the w<N>_
 // per-worker series. Shared by the in-process orchestrator and the
 // distributed coordinator.
 func FinalizeMetrics(o *obs.Observer, m *core.Report) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/elab"
 	"repro/internal/hdl"
 	"repro/internal/sim"
+	"repro/internal/simc"
 )
 
 // maxFuzzSource bounds the RTL text FuzzElab accepts; every builtin
@@ -14,8 +15,9 @@ import (
 const maxFuzzSource = 1 << 16
 
 // FuzzElab drives arbitrary RTL text down the path a user's -src file
-// takes: parse, elaborate the last module as top, build the
-// simulator, detect clock and reset, and apply the reset sequence.
+// takes: parse, elaborate the last module as top, build the compiled
+// simulator (the default backend) and the reference interpreter,
+// detect clock and reset, and apply the reset sequence on each.
 // Every stage must return an error or succeed — never panic, hang or
 // exhaust memory. The seed corpus is every builtin benchmark plus a
 // few shapes that stress the elaborator's bounds.
@@ -44,10 +46,12 @@ func FuzzElab(f *testing.F) {
 		if err != nil {
 			return
 		}
-		s, err := sim.New(d)
-		if err != nil {
-			return
+		info := sim.DetectClockReset(d)
+		if s, err := simc.New(d); err == nil {
+			_ = s.ApplyReset(info, 2)
 		}
-		_ = s.ApplyReset(sim.DetectClockReset(d), 2)
+		if s, err := sim.New(d); err == nil {
+			_ = s.ApplyReset(info, 2)
+		}
 	})
 }

@@ -268,23 +268,24 @@ type EnvConfig struct {
 	Properties []*props.Property
 	// ResetCycles applied by Reset (default 2).
 	ResetCycles int
-	// SimBackend selects the DUV implementation: "interp" (default,
-	// the event-driven four-state interpreter) or "compiled" (the
-	// internal/simc closure-compiled backend). Both are observationally
-	// identical, so campaign trajectories do not depend on the choice.
+	// SimBackend selects the DUV implementation: "compiled" (default,
+	// the internal/simc closure-compiled backend) or "interp" (the
+	// event-driven four-state interpreter, kept as the reference
+	// oracle). Both are observationally identical, so campaign
+	// trajectories do not depend on the choice.
 	SimBackend string
 }
 
 // NewBackend constructs a DUV for the design using the named backend
-// ("", "interp", or "compiled").
+// ("" or "compiled", or "interp").
 func NewBackend(d *elab.Design, backend string) (sim.DUV, error) {
 	switch backend {
-	case "", "interp":
-		return sim.New(d)
-	case "compiled":
+	case "", "compiled":
 		return simc.New(d)
+	case "interp":
+		return sim.New(d)
 	default:
-		return nil, fmt.Errorf("uvm: unknown sim backend %q (want interp or compiled)", backend)
+		return nil, fmt.Errorf("uvm: unknown sim backend %q (want compiled or interp)", backend)
 	}
 }
 
