@@ -99,7 +99,6 @@ func main() {
 		statusOn  = flag.String("status", "", "serve the live status+pprof endpoint on this address (e.g. :6060)")
 		reportOut = flag.String("report-out", "", "write the final (merged) report JSON to this file")
 		profOut   = flag.String("prof", "", "write the campaign cost-ledger dump JSON to this file (explore it with fuzzprof)")
-		noProf    = flag.Bool("no-prof", false, "force cost profiling off even when -prof is set (reports are byte-identical either way)")
 
 		serveOn  = flag.String("serve", "", "run as distributed-campaign coordinator on this address (e.g. :7070)")
 		connect  = flag.String("connect", "", "run as distributed-campaign worker against this coordinator")
@@ -190,7 +189,7 @@ func main() {
 
 	// Cost profiling: a nil profiler is the zero-overhead fast path;
 	// enabling it never changes a trajectory, only records one.
-	profiling := *profOut != "" && !*noProf
+	profiling := *profOut != ""
 	var profiler *symbfuzz.Profiler
 	if profiling {
 		profiler = symbfuzz.NewProfiler(symbfuzz.ProfilerOptions{})

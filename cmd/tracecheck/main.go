@@ -54,11 +54,11 @@ func main() {
 		fail(err)
 	}
 
-	sum, err := obs.ValidateTrace(bytes.NewReader(data))
+	events, err := obs.ReadEvents(bytes.NewReader(data))
 	if err != nil {
 		invalid(err)
 	}
-	events, err := obs.ReadEvents(bytes.NewReader(data))
+	sum, err := obs.ValidateEvents(events)
 	if err != nil {
 		invalid(err)
 	}
@@ -94,22 +94,17 @@ func main() {
 
 	fmt.Printf("valid trace: %d events, %d vectors, %d coverage points, %d bugs\n",
 		sum.Events, sum.FinalVectors, sum.FinalPoints, sum.Bugs)
-	for _, typ := range []string{
-		obs.EvIntervalEnd, obs.EvStagnation, obs.EvSolverDisp, obs.EvPlanApplied,
-		obs.EvRollback, obs.EvCheckpoint, obs.EvPruneSkip, obs.EvBugFound, obs.EvCovDropped,
-	} {
-		if n := sum.ByType[typ]; n > 0 {
-			fmt.Printf("  %-20s %6d\n", typ, n)
-		}
-	}
 	fmt.Printf("valid spans: %d spans, %d campaign roots, %d cross-rank links\n",
 		spans.Spans, spans.Roots, spans.CrossRankLinks)
-	for _, kind := range []string{
-		obs.SpanInterval, obs.SpanStimBatch, obs.SpanStagnate,
-		obs.SpanSolve, obs.SpanPlanApply, obs.SpanCovDelta,
+	// One count table: the span kinds, then the point events no span
+	// carries (kind and type names are disjoint).
+	for _, name := range []string{
+		obs.SpanInterval, obs.SpanStagnate, obs.SpanSolve, obs.SpanPlanApply,
+		obs.SpanCovDelta, obs.SpanAlert,
+		obs.EvRollback, obs.EvCheckpoint, obs.EvPruneSkip, obs.EvBugFound, obs.EvCovDropped,
 	} {
-		if n := spans.ByKind[kind]; n > 0 {
-			fmt.Printf("  %-20s %6d\n", kind, n)
+		if n := spans.ByKind[name] + sum.ByType[name]; n > 0 {
+			fmt.Printf("  %-20s %6d\n", name, n)
 		}
 	}
 	if spans.DanglingOrigins > 0 {

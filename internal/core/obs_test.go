@@ -51,9 +51,17 @@ func runTraced(t *testing.T, seed int64) (*Report, []byte, obs.StatusSnapshot) {
 func TestEngineTraceReconcilesWithReport(t *testing.T) {
 	rep, trace, snap := runTraced(t, 1)
 
-	sum, err := obs.ValidateTrace(bytes.NewReader(trace))
+	events, err := obs.ReadEvents(bytes.NewReader(trace))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := obs.ValidateEvents(events)
 	if err != nil {
 		t.Fatalf("schema-invalid trace: %v", err)
+	}
+	spans, err := obs.ValidateSpans(events)
+	if err != nil {
+		t.Fatalf("span-invalid trace: %v", err)
 	}
 	// The campaign_end event must agree with the report — the acceptance
 	// contract for offline trace analysis.
@@ -67,18 +75,23 @@ func TestEngineTraceReconcilesWithReport(t *testing.T) {
 		t.Errorf("trace bugs = %d, report bugs = %d", sum.Bugs, len(rep.Bugs))
 	}
 	// The deep chain forces every phase of Algorithm 1, so the trace
-	// must contain the full event vocabulary for the guided path.
-	for _, typ := range []string{
-		obs.EvIntervalStart, obs.EvIntervalEnd, obs.EvStagnation,
-		obs.EvSolverDisp, obs.EvPlanApplied, obs.EvCheckpoint, obs.EvBugFound,
+	// must carry a span for each phase plus the point events of the
+	// guided path.
+	for _, kind := range []string{
+		obs.SpanInterval, obs.SpanStagnate, obs.SpanSolve, obs.SpanPlanApply, obs.SpanCovDelta,
 	} {
+		if spans.ByKind[kind] == 0 {
+			t.Errorf("no %q spans in trace (by_kind = %v)", kind, spans.ByKind)
+		}
+	}
+	for _, typ := range []string{obs.EvCheckpoint, obs.EvBugFound} {
 		if sum.ByType[typ] == 0 {
 			t.Errorf("no %q events in trace (by_type = %v)", typ, sum.ByType)
 		}
 	}
-	if sum.ByType[obs.EvSolverDisp] != rep.Timings.Solve.Dispatches {
-		t.Errorf("trace solver_dispatch = %d, Timings.Solve.Dispatches = %d",
-			sum.ByType[obs.EvSolverDisp], rep.Timings.Solve.Dispatches)
+	if spans.ByKind[obs.SpanSolve] != rep.Timings.Solve.Dispatches {
+		t.Errorf("trace solve spans = %d, Timings.Solve.Dispatches = %d",
+			spans.ByKind[obs.SpanSolve], rep.Timings.Solve.Dispatches)
 	}
 
 	// Metrics snapshot reconciles with both trace and report.

@@ -38,9 +38,8 @@ type WorkerConfig struct {
 	// even when the coordinator advertises /v1/batch — the ablation arm
 	// of the wire-overhead benchmark.
 	SyncPublish bool
-	// FlushEvery / FlushInterval tune the batch publisher (defaults 8
-	// publishes / 25ms; test knobs).
-	FlushEvery    int
+	// FlushInterval tunes the batch publisher's timer (default 25ms;
+	// a test knob).
 	FlushInterval time.Duration
 
 	// test hooks (zero in production): DieAfterPublishes > 0 makes the
@@ -173,7 +172,6 @@ func RunWorker(ctx context.Context, c WorkerConfig) error {
 		bench:         bench,
 		properties:    properties,
 		batch:         join.Batch && !c.SyncPublish,
-		flushEvery:    c.FlushEvery,
 		flushInterval: c.FlushInterval,
 		publishesLeft: c.DieAfterPublishes,
 	}
@@ -241,7 +239,6 @@ type worker struct {
 	// batch selects the v4 batched publish path (the coordinator
 	// advertised /v1/batch and SyncPublish did not veto it).
 	batch         bool
-	flushEvery    int
 	flushInterval time.Duration
 
 	// publishesLeft counts down to the induced crash (test hook);
@@ -295,7 +292,7 @@ func (w *worker) runRank(ctx context.Context, lr LeaseResponse) error {
 	var pub *batchPublisher
 	if w.batch {
 		pub = newBatchPublisher(rankCtx, w.cl, w.campaign, w.id, lr.Rank, rankTrace,
-			w.flushEvery, w.flushInterval)
+			w.flushInterval)
 		defer pub.close()
 	}
 	if w.l1 != nil {

@@ -123,8 +123,6 @@ func (w Waiver) covers(d Diagnostic) bool {
 
 // Options configures a lint run.
 type Options struct {
-	// Checks to run; nil means AllChecks().
-	Checks []Check
 	// ExternalReads marks signals read from outside the design.
 	ExternalReads map[string]bool
 	// Waivers suppress accepted findings (they are counted, not listed).
@@ -172,19 +170,15 @@ func AllChecks() []Check {
 	}
 }
 
-// Run lints an elaborated design.
+// Run lints an elaborated design with every check of AllChecks.
 func Run(d *elab.Design, opts Options) *Result {
-	checks := opts.Checks
-	if checks == nil {
-		checks = AllChecks()
-	}
 	ctx := &Context{
 		Design:        d,
 		Facts:         InferDomains(d),
 		ExternalReads: opts.ExternalReads,
 	}
 	res := &Result{Design: d.Name, Facts: ctx.Facts, Diags: []Diagnostic{}}
-	for _, c := range checks {
+	for _, c := range AllChecks() {
 		for _, diag := range c.Run(ctx) {
 			waived := false
 			for _, w := range opts.Waivers {

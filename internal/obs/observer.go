@@ -124,7 +124,6 @@ type Observer struct {
 	spanSeq     int    // child-span sequence within the interval
 	campStartNS int64  // campaign span open timestamp
 	ivSpan      string // current interval's span ID
-	ivStartNS   int64
 	ivStartVec  uint64
 	stagSpan    string // open stagnation span ID ("" when none)
 	stagStartNS int64
@@ -395,23 +394,16 @@ func (o *Observer) IntervalStart(vectors uint64, points int) {
 		o.spanSeq = 0
 		if o.spansOn() {
 			o.ivSpan = fmt.Sprintf("w%d.i%d", o.worker, o.intervalIdx)
-			o.ivStartNS = o.Now()
 			o.ivStartVec = vectors
 		}
 		o.spanMu.Unlock()
 	}
-	if o.tracer != nil {
-		// Guarded at the call site: the Event literal escapes into the
-		// tracer interface, so constructing it unconditionally would
-		// heap-allocate even with tracing off — and this is the per-
-		// interval hot path, pinned zero-alloc when disabled.
-		o.emit(&Event{TNS: o.Now(), Type: EvIntervalStart, Vectors: vectors, Points: points})
-	}
 }
 
 // IntervalEnd records one completed fuzz interval and its wall time,
-// closing the interval's stimulus-batch and interval spans and
-// sampling the per-interval time-series ring.
+// closing the interval span (which carries the interval's vector count
+// and the engine-measured durNS) and sampling the per-interval
+// time-series ring and the watch sink.
 func (o *Observer) IntervalEnd(vectors uint64, points int, durNS int64) {
 	if o == nil {
 		return
@@ -419,46 +411,31 @@ func (o *Observer) IntervalEnd(vectors uint64, points int, durNS int64) {
 	o.cIntervals.Inc()
 	o.hInterval.Observe(durNS)
 	o.progress(vectors, points)
+	if !o.spansOn() && o.watch == nil {
+		return
+	}
+	o.spanMu.Lock()
+	iv := o.ivSpan
+	applied := vectors - o.ivStartVec
+	interval := o.intervalIdx
+	o.spanMu.Unlock()
+	p := SeriesPoint{
+		TNS: o.Now(), Worker: o.worker, Interval: interval,
+		Vectors: vectors, Points: points,
+		Solves: o.cSolves.Value(), Sat: o.cSat.Value(),
+		CacheHits: o.cCacheHit.Value(), CacheMisses: o.cCacheMiss.Value(),
+		Plans: o.cPlans.Value(),
+	}
 	if o.spansOn() {
-		o.spanMu.Lock()
-		iv := o.ivSpan
-		batch := o.nextChildID()
-		startNS := o.ivStartNS
-		applied := vectors - o.ivStartVec
-		interval := o.intervalIdx
-		o.spanMu.Unlock()
 		o.emit(&Event{
-			TNS: o.Now(), Type: EvSpan, Vectors: vectors, Points: points,
-			Span: batch, Parent: iv, Kind: SpanStimBatch,
+			TNS: p.TNS, Type: EvSpan, Vectors: vectors, Points: points,
+			Span: iv, Parent: o.RootSpan(), Kind: SpanInterval,
 			DurNS: durNS, Count: int64(applied),
 		})
-		now := o.Now()
-		o.emit(&Event{
-			TNS: now, Type: EvSpan, Vectors: vectors, Points: points,
-			Span: iv, Parent: o.RootSpan(), Kind: SpanInterval, DurNS: now - startNS,
-		})
-		o.series.Add(SeriesPoint{
-			TNS: now, Worker: o.worker, Interval: interval,
-			Vectors: vectors, Points: points,
-			Solves: o.cSolves.Value(), Sat: o.cSat.Value(),
-			CacheHits: o.cCacheHit.Value(), CacheMisses: o.cCacheMiss.Value(),
-			Plans: o.cPlans.Value(),
-		})
+		o.series.Add(p)
 	}
 	if o.watch != nil {
-		o.spanMu.Lock()
-		interval := o.intervalIdx
-		o.spanMu.Unlock()
-		o.watch.WatchSample(SeriesPoint{
-			TNS: o.Now(), Worker: o.worker, Interval: interval,
-			Vectors: vectors, Points: points,
-			Solves: o.cSolves.Value(), Sat: o.cSat.Value(),
-			CacheHits: o.cCacheHit.Value(), CacheMisses: o.cCacheMiss.Value(),
-			Plans: o.cPlans.Value(),
-		})
-	}
-	if o.tracer != nil { // call-site guard: see IntervalStart
-		o.emit(&Event{TNS: o.Now(), Type: EvIntervalEnd, Vectors: vectors, Points: points, DurNS: durNS})
+		o.watch.WatchSample(p)
 	}
 }
 
@@ -476,7 +453,6 @@ func (o *Observer) Stagnation(vectors uint64, points int) {
 		o.stagStartNS = o.Now()
 		o.spanMu.Unlock()
 	}
-	o.emit(&Event{TNS: o.Now(), Type: EvStagnation, Vectors: vectors, Points: points})
 }
 
 // GuidanceEnd closes the stagnation span opened by Stagnation once the
@@ -553,17 +529,6 @@ func (o *Observer) SolverDispatch(graph, edge int, vectors uint64, points int, s
 			Cache: cache.State, OriginWorker: cache.OriginWorker, OriginSpan: cache.OriginSpan,
 		})
 	}
-	if o.tracer != nil { // call-site guard: see IntervalStart
-		o.emit(&Event{
-			TNS: o.Now(), Type: EvSolverDisp, Vectors: vectors, Points: points,
-			Graph: graph, Edge: edge, Outcome: st.Outcome,
-			Conflicts: st.Conflicts, Decisions: st.Decisions, Propagations: st.Propagations,
-			Restarts: st.Restarts, Clauses: st.Clauses, Vars: st.Vars,
-			BlastNS: st.BlastNS, SolveNS: st.SolveNS, DurNS: st.BlastNS + st.SolveNS,
-			SlicedVars: st.SlicedVars, Infeasible: st.Infeasible,
-			Span: span,
-		})
-	}
 	if o.watch != nil {
 		o.watch.WatchSolve(o.worker, graph, edge, st.Outcome, st.BlastNS+st.SolveNS, o.Now())
 	}
@@ -579,7 +544,6 @@ func (o *Observer) PlanApplied(graph, edge int, vectors uint64, points, gained i
 		return
 	}
 	o.cPlans.Inc()
-	span := ""
 	if o.spansOn() {
 		o.spanMu.Lock()
 		apply := o.nextChildID()
@@ -587,7 +551,6 @@ func (o *Observer) PlanApplied(graph, edge int, vectors uint64, points, gained i
 		parent := o.lastSolve
 		o.spanMu.Unlock()
 		if parent != "" {
-			span = apply
 			o.emit(&Event{
 				TNS: o.Now(), Type: EvSpan, Vectors: vectors, Points: points,
 				Span: apply, Parent: parent, Kind: SpanPlanApply,
@@ -601,7 +564,6 @@ func (o *Observer) PlanApplied(graph, edge int, vectors uint64, points, gained i
 			})
 		}
 	}
-	o.emit(&Event{TNS: o.Now(), Type: EvPlanApplied, Vectors: vectors, Points: points, Graph: graph, Edge: edge, Span: span})
 }
 
 // AlertSpan emits one typed alert span into the trace, parented on the

@@ -88,14 +88,18 @@ type CampaignReport struct {
 	Chain     *CausalChain          `json:"chain,omitempty"`
 }
 
-// BuildCampaignReport validates a parsed trace's spans and digests it
-// into a CampaignReport.
+// BuildCampaignReport checks a decoded trace (ValidateEvents, then
+// ValidateSpans) and digests it into a CampaignReport.
 func BuildCampaignReport(events []Event) (*CampaignReport, error) {
+	sum, err := ValidateEvents(events)
+	if err != nil {
+		return nil, err
+	}
 	spanSum, err := ValidateSpans(events)
 	if err != nil {
 		return nil, err
 	}
-	r := &CampaignReport{Schema: ReportSchema, Spans: *spanSum, Curves: map[int][]CurveSample{}}
+	r := &CampaignReport{Schema: ReportSchema, Summary: *sum, Spans: *spanSum, Curves: map[int][]CurveSample{}}
 
 	// Index spans for attribution.
 	spans := map[string]*Event{}
@@ -124,7 +128,7 @@ func BuildCampaignReport(events []Event) (*CampaignReport, error) {
 	for i := range events {
 		ev := &events[i]
 		switch {
-		case ev.Type == EvIntervalEnd:
+		case ev.Type == EvSpan && ev.Kind == SpanInterval:
 			r.Curves[ev.Worker] = append(r.Curves[ev.Worker], CurveSample{TNS: ev.TNS, Vectors: ev.Vectors, Points: ev.Points})
 		case ev.Type == EvCampaignEnd:
 			r.Slicing.SlicedVars += ev.SlicedVars
@@ -237,22 +241,6 @@ func BuildCampaignReport(events []Event) (*CampaignReport, error) {
 		r.Chain = chain
 	}
 
-	// Trace summary (already schema-checked by the caller's
-	// ValidateTrace; recompute the digest fields here).
-	r.Summary.ByType = map[string]int{}
-	for i := range events {
-		ev := &events[i]
-		r.Summary.Events++
-		r.Summary.ByType[ev.Type]++
-		r.Summary.FinalVectors = ev.Vectors
-		r.Summary.FinalPoints = ev.Points
-		if ev.TNS > r.Summary.WallNS {
-			r.Summary.WallNS = ev.TNS
-		}
-		if ev.Type == EvBugFound {
-			r.Summary.Bugs++
-		}
-	}
 	return r, nil
 }
 

@@ -2,24 +2,28 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// reportFixture is a two-lane merged trace with one cross-rank chain:
-// lane 1 solves (miss, +2 locally), lane 2 hits lane 1's cache entry
-// and unlocks 6 more, and lane 2 also has a never-sat target.
+// reportFixture is a schema-valid two-lane merged trace with one
+// cross-rank chain: lane 1 solves (miss, +2 locally), lane 2 hits lane
+// 1's cache entry and unlocks 6 more, and lane 2 also has a never-sat
+// target. The interval spans, which carry the coverage curves, close
+// each lane so its clock stays monotonic.
 func reportFixture() []Event {
+	interval := func(id string, w int, tns int64, vectors uint64, points int) Event {
+		ev := spanEv(id, fmt.Sprintf("w%d", w), SpanInterval, w)
+		ev.TNS, ev.Vectors, ev.Points = tns, vectors, points
+		return ev
+	}
 	events := []Event{
 		{Type: EvCampaignStart},
-		{Type: EvIntervalEnd, Worker: 1, TNS: 100, Vectors: 500, Points: 10},
-		{Type: EvIntervalEnd, Worker: 1, TNS: 200, Vectors: 1000, Points: 14},
-		{Type: EvIntervalEnd, Worker: 2, TNS: 150, Vectors: 600, Points: 11},
 		spanEv("w1", "", SpanCampaign, 1),
-		spanEv("w1.i0", "w1", SpanInterval, 1),
 		spanEv("w1.i0.s0", "w1.i0", SpanStagnate, 1),
 		spanEv("w2", "", SpanCampaign, 2),
-		spanEv("w2.i0", "w2", SpanInterval, 2),
 		spanEv("w2.i0.s0", "w2.i0", SpanStagnate, 2),
 	}
 	miss := spanEv("w1.i0.s1", "w1.i0.s0", SpanSolve, 1)
@@ -45,7 +49,10 @@ func reportFixture() []Event {
 	unsat.Conflicts, unsat.SolveNS = 40, 900
 	unsat.Infeasible = true
 
-	events = append(events, miss, missApply, missDelta, hit, hitApply, hitDelta, unsat)
+	events = append(events, miss, missApply, missDelta, hit, hitApply, hitDelta, unsat,
+		interval("w1.i0", 1, 100, 500, 10),
+		interval("w1.i1", 1, 200, 1000, 14),
+		interval("w2.i0", 2, 150, 600, 11))
 	events = append(events, Event{Type: EvCampaignEnd, TNS: 300, Vectors: 1600, Points: 20,
 		SlicedVars: 40, InfeasibleTargets: 1})
 	return events
@@ -96,9 +103,28 @@ func TestBuildCampaignReport(t *testing.T) {
 		t.Errorf("lane 2 breakdown = %+v", lane2)
 	}
 
-	// Coverage curves: one per lane with interval_end samples.
-	if len(r.Curves[1]) != 2 || len(r.Curves[2]) != 1 {
-		t.Errorf("curves = %+v", r.Curves)
+	// Coverage curves: one per lane, one sample per interval span, in
+	// the (vectors, points) sequence the lane's intervals closed with.
+	type vp struct {
+		v uint64
+		p int
+	}
+	for lane, want := range map[int][]vp{1: {{500, 10}, {1000, 14}}, 2: {{600, 11}}} {
+		var got []vp
+		for _, s := range r.Curves[lane] {
+			got = append(got, vp{s.Vectors, s.Points})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("lane %d curve = %v, want %v", lane, got, want)
+		}
+	}
+	if len(r.Curves) != 2 {
+		t.Errorf("curves = %+v, want lanes 1 and 2 only", r.Curves)
+	}
+
+	// The summary is the schema check's.
+	if s := r.Summary; s.Events != 16 || s.FinalVectors != 1600 || s.FinalPoints != 20 || s.WallNS != 300 || s.Workers != 2 {
+		t.Errorf("summary = %+v", s)
 	}
 
 	// The cross-rank chain is reconstructed.

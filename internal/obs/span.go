@@ -12,7 +12,6 @@ import (
 var spanParents = map[string][]string{
 	SpanCampaign:  nil,
 	SpanInterval:  {SpanCampaign},
-	SpanStimBatch: {SpanInterval},
 	SpanStagnate:  {SpanInterval},
 	SpanSolve:     {SpanStagnate, SpanInterval},
 	SpanPlanApply: {SpanSolve},

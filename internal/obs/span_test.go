@@ -15,17 +15,16 @@ func TestValidateSpansAcceptsWellFormedTree(t *testing.T) {
 	events := []Event{
 		spanEv("w1", "", SpanCampaign, 1),
 		spanEv("w1.i0", "w1", SpanInterval, 1),
-		spanEv("w1.i0.s0", "w1.i0", SpanStimBatch, 1),
-		spanEv("w1.i0.s1", "w1.i0", SpanStagnate, 1),
-		spanEv("w1.i0.s2", "w1.i0.s1", SpanSolve, 1),
-		spanEv("w1.i0.s3", "w1.i0.s2", SpanPlanApply, 1),
-		spanEv("w1.i0.s4", "w1.i0.s3", SpanCovDelta, 1),
+		spanEv("w1.i0.s0", "w1.i0", SpanStagnate, 1),
+		spanEv("w1.i0.s1", "w1.i0.s0", SpanSolve, 1),
+		spanEv("w1.i0.s2", "w1.i0.s1", SpanPlanApply, 1),
+		spanEv("w1.i0.s3", "w1.i0.s2", SpanCovDelta, 1),
 	}
 	sum, err := ValidateSpans(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Spans != 7 || sum.Roots != 1 {
+	if sum.Spans != 6 || sum.Roots != 1 {
 		t.Errorf("summary = %+v", sum)
 	}
 	if sum.ByKind[SpanSolve] != 1 || sum.ByKind[SpanCovDelta] != 1 {
@@ -159,7 +158,7 @@ func TestObserverSpansFormValidTree(t *testing.T) {
 		t.Fatalf("observer emitted invalid spans: %v", err)
 	}
 	want := map[string]int{
-		SpanCampaign: 1, SpanInterval: 2, SpanStimBatch: 2,
+		SpanCampaign: 1, SpanInterval: 2,
 		SpanStagnate: 1, SpanSolve: 1, SpanPlanApply: 1, SpanCovDelta: 1,
 	}
 	for k, n := range want {
@@ -174,6 +173,11 @@ func TestObserverSpansFormValidTree(t *testing.T) {
 		if ev.Type == EvSpan {
 			byID[ev.Span] = ev
 		}
+	}
+	// The interval span carries the interval's vector count and the
+	// engine-measured duration.
+	if iv := byID["w0.i0"]; iv.Kind != SpanInterval || iv.Count != 100 || iv.DurNS != 1500 || iv.Vectors != 100 || iv.Points != 5 {
+		t.Errorf("first interval span = %+v", iv)
 	}
 	solve := byID[span]
 	if solve.Kind != SpanSolve || solve.Cache != "miss" || solve.Restarts != 1 || solve.Edge != 3 {

@@ -10,13 +10,11 @@ import (
 
 // Event types emitted by the engine. A campaign trace is a JSONL
 // stream: one Event per line, timestamps monotonic from campaign start.
+// Each phase of Algorithm 1 (interval, stagnation, solve, plan
+// application) is recorded once, as a span; the other types are point
+// events that no span carries.
 const (
 	EvCampaignStart = "campaign_start"
-	EvIntervalStart = "interval_start"
-	EvIntervalEnd   = "interval_end"
-	EvStagnation    = "stagnation_detected"
-	EvSolverDisp    = "solver_dispatch"
-	EvPlanApplied   = "plan_applied"
 	EvRollback      = "rollback"
 	EvCheckpoint    = "checkpoint"
 	EvBugFound      = "bug_found"
@@ -27,13 +25,12 @@ const (
 )
 
 // Span kinds, ordered by causal depth: a campaign owns intervals, an
-// interval owns its stimulus batch and any stagnation episode, a
-// stagnation episode owns solves, a sat solve owns the plan
-// application, and an applied plan owns the coverage it unlocked.
+// interval owns any stagnation episode, a stagnation episode owns
+// solves, a sat solve owns the plan application, and an applied plan
+// owns the coverage it unlocked.
 const (
 	SpanCampaign  = "campaign"
 	SpanInterval  = "interval"
-	SpanStimBatch = "stimulus_batch"
 	SpanStagnate  = "stagnation"
 	SpanSolve     = "solve"
 	SpanPlanApply = "plan_apply"
@@ -47,18 +44,16 @@ const (
 
 // knownEvents is the trace schema's closed event-type set.
 var knownEvents = map[string]bool{
-	EvCampaignStart: true, EvIntervalStart: true, EvIntervalEnd: true,
-	EvStagnation: true, EvSolverDisp: true, EvPlanApplied: true,
-	EvRollback: true, EvCheckpoint: true, EvBugFound: true,
-	EvPruneSkip: true, EvCovDropped: true, EvSpan: true,
-	EvCampaignEnd: true,
+	EvCampaignStart: true, EvRollback: true, EvCheckpoint: true,
+	EvBugFound: true, EvPruneSkip: true, EvCovDropped: true,
+	EvSpan: true, EvCampaignEnd: true,
 }
 
 // knownSpanKinds is the span taxonomy's closed kind set.
 var knownSpanKinds = map[string]bool{
-	SpanCampaign: true, SpanInterval: true, SpanStimBatch: true,
-	SpanStagnate: true, SpanSolve: true, SpanPlanApply: true,
-	SpanCovDelta: true, SpanAlert: true,
+	SpanCampaign: true, SpanInterval: true, SpanStagnate: true,
+	SpanSolve: true, SpanPlanApply: true, SpanCovDelta: true,
+	SpanAlert: true,
 }
 
 // Event is one typed trace record. Every event carries the monotonic
@@ -76,25 +71,26 @@ type Event struct {
 	// to the pre-parallel schema).
 	Worker int `json:"worker,omitempty"`
 
-	// Graph/Node/Edge locate solver_dispatch / plan_applied /
-	// prune_skip events on the clustered CFG (Graph is -1 when unset,
-	// so cluster 0 still serializes).
+	// Graph/Node/Edge locate solve / plan_apply / coverage_delta spans
+	// and prune_skip events on the clustered CFG.
 	Graph int `json:"graph,omitempty"`
 	Node  int `json:"node,omitempty"`
 	Edge  int `json:"edge,omitempty"`
 
-	// Outcome is "sat"/"unsat" for solver_dispatch and
+	// Outcome is "sat"/"unsat" for a solve span and
 	// "snapshot"/"replay" for rollback.
 	Outcome string `json:"outcome,omitempty"`
 	// Property names the violated property of a bug_found event.
 	Property string `json:"property,omitempty"`
-	// Count carries sized payloads: dropped events, checkpoint bytes.
+	// Count carries sized payloads: an interval span's vectors,
+	// dropped events, checkpoint bytes.
 	Count int64 `json:"count,omitempty"`
 	// DurNS is the event's wall-clock cost where one is measured
-	// (interval_end, rollback, solver_dispatch total).
+	// (interval, stagnation and campaign spans, rollback, the solve
+	// span's blast + CDCL total).
 	DurNS int64 `json:"dur_ns,omitempty"`
 
-	// Per-dispatch solver statistics (solver_dispatch only).
+	// Per-dispatch solver statistics (solve spans only).
 	Conflicts    int64 `json:"conflicts,omitempty"`
 	Decisions    int64 `json:"decisions,omitempty"`
 	Propagations int64 `json:"propagations,omitempty"`
@@ -104,19 +100,17 @@ type Event struct {
 	SolveNS      int64 `json:"cdcl_ns,omitempty"`
 	Restarts     int64 `json:"restarts,omitempty"`
 	// SlicedVars is the net solver-variable saving of cone-of-influence
-	// slicing: per dispatch on solver_dispatch / solve-span events, the
-	// campaign total on campaign_end. Infeasible marks a dispatch
-	// refuted statically (no solver ran); InfeasibleTargets is its
-	// campaign_end total.
+	// slicing: per dispatch on solve spans, the campaign total on
+	// campaign_end. Infeasible marks a dispatch refuted statically (no
+	// solver ran); InfeasibleTargets is its campaign_end total.
 	SlicedVars        int64 `json:"sliced_vars,omitempty"`
 	Infeasible        bool  `json:"infeasible,omitempty"`
 	InfeasibleTargets int64 `json:"infeasible_targets,omitempty"`
 
-	// Causal-span fields (type "span", plus Span on solver_dispatch so
-	// the wire cache can attribute remote hits). Span IDs are
-	// deterministic, derived from (lane, interval, sequence) — e.g.
-	// "w2.i3.s1" — never from wall clock or randomness, so golden-trace
-	// tests stay byte-stable.
+	// Causal-span fields (type "span"). Span IDs are deterministic,
+	// derived from (lane, interval, sequence) — e.g. "w2.i3.s1" — never
+	// from wall clock or randomness, so golden-trace tests stay
+	// byte-stable.
 	Span   string `json:"span,omitempty"`
 	Parent string `json:"parent,omitempty"`
 	Kind   string `json:"kind,omitempty"`
@@ -194,12 +188,11 @@ func (t *JSONLTracer) Close() error {
 	return t.err
 }
 
-// ReadEvents parses a JSONL event stream into memory. It checks JSON
-// well-formedness and known event types but not stream ordering — use
-// ValidateTrace for the full schema check.
+// ReadEvents decodes a JSONL event stream: the one trace decoder. It
+// checks JSON well-formedness only; ValidateEvents is the schema check.
 func ReadEvents(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // lines up to 1 MiB; the buffer grows on demand
 	var out []Event
 	line := 0
 	for sc.Scan() {
@@ -212,9 +205,6 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 		if err := json.Unmarshal(raw, &ev); err != nil {
 			return nil, fmt.Errorf("trace line %d: invalid JSON: %w", line, err)
 		}
-		if !knownEvents[ev.Type] {
-			return nil, fmt.Errorf("trace line %d: unknown event type %q", line, ev.Type)
-		}
 		out = append(out, ev)
 	}
 	if err := sc.Err(); err != nil {
@@ -223,83 +213,82 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// TraceSummary is ValidateTrace's digest of a schema-valid trace.
+// TraceSummary is ValidateEvents' digest of a schema-valid trace.
 type TraceSummary struct {
 	Events       int            `json:"events"`
 	ByType       map[string]int `json:"by_type"`
 	FinalVectors uint64         `json:"final_vectors"`
 	FinalPoints  int            `json:"final_coverage_points"`
-	WallNS       int64          `json:"wall_ns"`
-	Bugs         int            `json:"bugs"`
+	// WallNS is the latest timestamp of any lane.
+	WallNS int64 `json:"wall_ns"`
+	Bugs   int   `json:"bugs"`
 	// Workers counts the distinct worker lanes seen (0 for a
 	// single-engine trace with no worker-stamped events).
 	Workers int `json:"workers,omitempty"`
 }
 
-// ValidateTrace checks a JSONL event stream against the trace schema:
-// every line is a valid Event of a known type, the stream opens with
-// campaign_start and closes with campaign_end, and within each worker
-// lane timestamps and vector counts are monotonically non-decreasing.
-// (A parallel campaign interleaves lanes in emit order, so cross-lane
-// monotonicity cannot hold; lane 0 is the single-engine or
-// campaign-level stream.) It returns a summary of the valid trace, or
-// the first violation.
+// ValidateTrace decodes a JSONL event stream with ReadEvents and checks
+// it with ValidateEvents.
 func ValidateTrace(r io.Reader) (*TraceSummary, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	events, err := ReadEvents(r)
+	if err != nil {
+		return nil, err
+	}
+	return ValidateEvents(events)
+}
+
+// ValidateEvents checks a decoded trace against the stream schema:
+// event types are known, the stream opens with campaign_start and
+// closes with campaign_end, and within each worker lane timestamps and
+// vector counts are monotonically non-decreasing. (A parallel campaign
+// interleaves lanes in emit order, so cross-lane monotonicity cannot
+// hold; lane 0 is the single-engine or campaign-level stream.) It
+// returns a summary of the valid trace, or the first violation; errors
+// name the 1-based event index.
+func ValidateEvents(events []Event) (*TraceSummary, error) {
+	if len(events) == 0 {
+		return nil, fmt.Errorf("trace: empty stream")
+	}
 	sum := &TraceSummary{ByType: map[string]int{}}
 	lastT := map[int]int64{}
 	lastV := map[int]uint64{}
-	lastType := ""
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return nil, fmt.Errorf("trace line %d: invalid JSON: %w", line, err)
-		}
+	for i := range events {
+		ev := &events[i]
+		n := i + 1
 		if !knownEvents[ev.Type] {
-			return nil, fmt.Errorf("trace line %d: unknown event type %q", line, ev.Type)
+			return nil, fmt.Errorf("trace event %d: unknown event type %q", n, ev.Type)
 		}
 		if ev.Worker < 0 {
-			return nil, fmt.Errorf("trace line %d: negative worker id %d", line, ev.Worker)
+			return nil, fmt.Errorf("trace event %d: negative worker id %d", n, ev.Worker)
 		}
-		if sum.Events == 0 && ev.Type != EvCampaignStart {
-			return nil, fmt.Errorf("trace line %d: first event is %q, want %q", line, ev.Type, EvCampaignStart)
+		if i == 0 && ev.Type != EvCampaignStart {
+			return nil, fmt.Errorf("trace event %d: first event is %q, want %q", n, ev.Type, EvCampaignStart)
 		}
 		if ev.TNS < lastT[ev.Worker] {
-			return nil, fmt.Errorf("trace line %d: worker %d timestamp regressed (%d < %d)", line, ev.Worker, ev.TNS, lastT[ev.Worker])
+			return nil, fmt.Errorf("trace event %d: worker %d timestamp regressed (%d < %d)", n, ev.Worker, ev.TNS, lastT[ev.Worker])
 		}
 		if ev.Vectors < lastV[ev.Worker] {
-			return nil, fmt.Errorf("trace line %d: worker %d vector count regressed (%d < %d)", line, ev.Worker, ev.Vectors, lastV[ev.Worker])
+			return nil, fmt.Errorf("trace event %d: worker %d vector count regressed (%d < %d)", n, ev.Worker, ev.Vectors, lastV[ev.Worker])
 		}
-		lastT[ev.Worker], lastV[ev.Worker], lastType = ev.TNS, ev.Vectors, ev.Type
-		sum.Events++
+		lastT[ev.Worker], lastV[ev.Worker] = ev.TNS, ev.Vectors
 		sum.ByType[ev.Type]++
-		sum.FinalVectors = ev.Vectors
-		sum.FinalPoints = ev.Points
-		sum.WallNS = ev.TNS
+		if ev.TNS > sum.WallNS {
+			sum.WallNS = ev.TNS
+		}
 		if ev.Type == EvBugFound {
 			sum.Bugs++
 		}
+	}
+	last := events[len(events)-1]
+	if last.Type != EvCampaignEnd {
+		return nil, fmt.Errorf("trace: last event is %q, want %q", last.Type, EvCampaignEnd)
 	}
 	for w := range lastT {
 		if w > 0 {
 			sum.Workers++
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if sum.Events == 0 {
-		return nil, fmt.Errorf("trace: empty stream")
-	}
-	if lastType != EvCampaignEnd {
-		return nil, fmt.Errorf("trace: last event is %q, want %q", lastType, EvCampaignEnd)
-	}
+	sum.Events = len(events)
+	sum.FinalVectors, sum.FinalPoints = last.Vectors, last.Points
 	return sum, nil
 }

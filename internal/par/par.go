@@ -66,11 +66,6 @@ type Config struct {
 	// StopWhenAllCovered stops once every static CFG edge is globally
 	// covered (also scheduling-dependent; off by default).
 	StopWhenAllCovered bool
-	// SplitBudget divides MaxVectors across workers instead of giving
-	// each worker the full budget.
-	SplitBudget bool
-	// DisableSolveSharing turns the cross-worker plan cache off.
-	DisableSolveSharing bool
 }
 
 // Report is a parallel campaign's outcome: the deterministic merged
@@ -141,7 +136,7 @@ func RunContext(ctx context.Context, m *core.Model, properties []*props.Property
 	baseObs := base.Obs
 
 	var cache *SolveCache
-	if n > 1 && !c.DisableSolveSharing {
+	if n > 1 {
 		cache = NewSolveCache()
 	}
 
@@ -157,16 +152,7 @@ func RunContext(ctx context.Context, m *core.Model, properties []*props.Property
 		seeds[r] = wc.Seed
 		if n > 1 {
 			wc.Shard = core.ShardSpec{Rank: r, Workers: n}
-		}
-		if cache != nil {
 			wc.PlanCache = cache
-		}
-		if c.SplitBudget && n > 1 {
-			share := base.MaxVectors / uint64(n)
-			if uint64(r) < base.MaxVectors%uint64(n) {
-				share++
-			}
-			wc.MaxVectors = share
 		}
 		wc.Obs = baseObs.ForWorker(r + 1)
 		// Prof ranks are 0-based (they mirror dist ranks, so the merged

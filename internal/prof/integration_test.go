@@ -131,7 +131,7 @@ func TestLedgerDeterminism(t *testing.T) {
 	}
 }
 
-// TestProfilingIsTrajectoryNeutral pins the -no-prof contract: the
+// TestProfilingIsTrajectoryNeutral pins the profiler's contract: the
 // report of a profiled campaign equals the unprofiled one, field for
 // field, modulo wall clock.
 func TestProfilingIsTrajectoryNeutral(t *testing.T) {

@@ -418,10 +418,11 @@ var (
 	NewTimeSeries = obs.NewSeries
 	// ServeStatus starts the live status + Prometheus + pprof endpoint.
 	ServeStatus = obs.ServeStatus
-	// ValidateTrace checks a JSONL event stream against the schema.
+	// ValidateTrace decodes a JSONL event stream and checks it
+	// against the schema.
 	ValidateTrace = obs.ValidateTrace
-	// ReadTraceEvents decodes a JSONL event stream without the ordering
-	// checks (merged multi-rank traces interleave lanes).
+	// ReadTraceEvents is the one trace decoder: it parses a JSONL
+	// event stream without checking the schema.
 	ReadTraceEvents = obs.ReadEvents
 	// ValidateSpans checks a trace's causal spans for referential
 	// integrity: parents exist, the graph is acyclic and rooted in
@@ -432,7 +433,8 @@ var (
 	FindCrossRankChain = obs.FindCrossRankChain
 	// WritePrometheus renders a registry in Prometheus text format.
 	WritePrometheus = obs.WritePrometheus
-	// BuildCampaignReport digests a validated trace into a report.
+	// BuildCampaignReport checks decoded events (schema and spans) and
+	// digests them into a report.
 	BuildCampaignReport = obs.BuildCampaignReport
 	// RenderReportHTML writes a report as self-contained HTML whose
 	// bytes depend only on the trace.
